@@ -52,8 +52,6 @@ from blowdown.ratmath import (
     LinearForm,
     LpOutcome,
     Matrix,
-    Rational,
-    invert,
     lp_feasible,
 )
 from blowdown.reports import (
@@ -84,7 +82,6 @@ __all__ = [
     "Matrix",
     "PlumbingGraph",
     "PositivityResult",
-    "Rational",
     "Report",
     "Scenario",
     "SwRecord",
@@ -97,7 +94,6 @@ __all__ = [
     "builtin_scenario_text",
     "certify_positive",
     "homeo_type",
-    "invert",
     "is_characteristic",
     "kotschick_bound",
     "light_cone_sign",

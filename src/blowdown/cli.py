@@ -6,8 +6,9 @@ Subcommands:
   verify <scenario> [--expect-paper] [--json]
                                       run the pipeline on a scenario file
 
-Exit codes: 0 success, 1 verification failure (embedding mismatch or a
-reference-value mismatch under --expect-paper), 2 input error.
+Exit codes: 0 success, 1 verification failure (embedding mismatch, rejected
+solver evidence, or a reference-value mismatch under --expect-paper),
+2 input error.
 """
 
 from __future__ import annotations
@@ -18,10 +19,12 @@ import sys
 from typing import Sequence
 
 from blowdown.plumbing import EmbeddingFailed, InvalidP, make_cp
+from blowdown.ratmath import EvidenceRejected, column_layout
 from blowdown.reports import (
     ParseError,
     Report,
     check_against_reference,
+    configuration_fields,
     run_main1,
     run_main2,
     run_main3,
@@ -67,33 +70,22 @@ def _emit_report(report: Report, as_json: bool, out) -> None:
 
 def _cmd_plumbing(p: int, as_json: bool, out) -> int:
     config = make_cp(p)
+    d = {"p": config.p, "weights": list(config.graph.weights), **configuration_fields(config)}
     if as_json:
-        payload = {
-            "p": config.p,
-            "weights": list(config.graph.weights),
-            "edges": [list(e) for e in config.graph.edges],
-            "boundary_lens_space": list(config.boundary),
-            "P": [[str(x) for x in row] for row in config.P.rows],
-            "Q": [[str(x) for x in row] for row in config.Q.rows],
-            "det_P": str(config.P.det()),
-            "negative_definite": config.P.is_negative_definite(),
-        }
-        out.write(json.dumps(payload, indent=2) + "\n")
+        out.write(json.dumps(d, indent=2) + "\n")
         return 0
-    q, r = config.boundary
-    out.write(
-        f"chain configuration, p = {p}: {config.rank} spheres, weights "
-        f"[{', '.join(map(str, config.graph.weights))}]\n"
-    )
-    out.write(f"boundary lens space: L({q}, {r})\n")
-    out.write("P =\n")
-    out.write(str(config.P) + "\n")
-    out.write("Q = P^-1 =\n")
-    out.write(str(config.Q) + "\n")
-    out.write(
-        f"det P = {config.P.det()} (|det| = p^2 = {p * p}), "
-        f"negative definite: {config.P.is_negative_definite()}\n"
-    )
+    lines = [
+        f"chain configuration, p = {p}: {len(d['weights'])} spheres, "
+        f"weights [{', '.join(map(str, d['weights']))}]",
+        "boundary lens space: L({}, {})".format(*d["boundary_lens_space"]),
+        "P =",
+        *column_layout(d["P"]),
+        "Q = P^-1 =",
+        *column_layout(d["Q"]),
+        f"det P = {d['det_P']} (|det| = p^2 = {p * p}), "
+        f"negative definite: {d['negative_definite']}",
+    ]
+    out.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -129,7 +121,7 @@ def main(argv: Sequence[str] | None = None, out=None, err=None) -> int:
     except FileNotFoundError as exc:
         err.write(f"input error: {exc}\n")
         return 2
-    except EmbeddingFailed as exc:
+    except (EmbeddingFailed, EvidenceRejected) as exc:
         err.write(f"verification failure: {exc}\n")
         return 1
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from blowdown.lattice import HomologyClass, blow_up
+from blowdown.ratmath import EvidenceRejected
 
 ODD = "odd"
 EVEN = "even"
@@ -108,7 +109,8 @@ def rational_blowdown(
         inv.parity,
         inv.simply_connected and assume_simply_connected,
     )
-    assert out.c1sq == inv.c1sq + drop
+    if out.c1sq != inv.c1sq + drop:
+        raise EvidenceRejected(f"c1^2 rose from {inv.c1sq} to {out.c1sq}, not by {drop}")
     return out
 
 

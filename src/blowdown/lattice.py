@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from blowdown.ratmath import EvidenceRejected
+
 
 class AmbientMismatch(ValueError):
     """Classes from different ambient lattices were combined."""
@@ -196,5 +198,6 @@ def light_cone_sign(c: HomologyClass, w: HomologyClass) -> int:
     if w.square <= 0:
         raise PreconditionViolated("w must have positive square")
     value = c.dot(w)
-    assert value != 0, "light-cone guarantee failed"
+    if value == 0:
+        raise EvidenceRejected("light-cone guarantee failed: c.w = 0")
     return 1 if value > 0 else -1

@@ -10,12 +10,12 @@ rational-ball replacement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from blowdown.lattice import Ambient, HomologyClass, pair
-from blowdown.ratmath import Matrix, invert
+from blowdown.ratmath import Matrix
 
 
 class InvalidP(ValueError):
@@ -91,7 +91,9 @@ class PlumbingGraph:
 class Configuration:
     """A linear chain configuration: graph, intersection matrix P, dual form
     Q = P^-1, lens-space boundary label, and optionally the ambient classes
-    realizing the chain."""
+    realizing the chain.  Construction with classes is the one embedding
+    gate: it raises EmbeddingFailed or stores the passing check in
+    `embedding`."""
 
     p: int
     graph: PlumbingGraph
@@ -99,12 +101,14 @@ class Configuration:
     Q: Matrix
     boundary: tuple[int, int]
     embedded_classes: tuple[HomologyClass, ...] | None = None
+    embedding: EmbeddingCheck | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
         if self.embedded_classes is not None:
             check = verify_embedding(self, self.embedded_classes)
             if not check:
                 raise EmbeddingFailed(check.message)
+            object.__setattr__(self, "embedding", check)
 
     @property
     def rank(self) -> int:
@@ -112,9 +116,6 @@ class Configuration:
 
     def with_embedding(self, classes: Sequence[HomologyClass]) -> "Configuration":
         """Attach ambient classes after verifying they realize P exactly."""
-        check = verify_embedding(self, classes)
-        if not check:
-            raise EmbeddingFailed(check.message)
         return Configuration(self.p, self.graph, self.P, self.Q, self.boundary, tuple(classes))
 
 
@@ -128,7 +129,7 @@ def make_cp(p: int) -> Configuration:
     edges = tuple((i, i + 1) for i in range(p - 2))
     graph = PlumbingGraph(vertices, edges)
     P = graph.gram_matrix()
-    return Configuration(p, graph, P, invert(P), (p * p, 1 - p))
+    return Configuration(p, graph, P, P.inverse(), (p * p, 1 - p))
 
 
 class EmbeddingCheck(NamedTuple):
@@ -212,7 +213,6 @@ def make_e6_tilde() -> E6TildeFiber:
     gram = graph.gram_matrix()
     for i in range(7):
         for j in range(7):
-            assert pair(classes[i], classes[j]) == gram[i, j], (
-                f"E6-tilde Gram mismatch at ({i}, {j})"
-            )
+            if pair(classes[i], classes[j]) != gram[i, j]:
+                raise EmbeddingFailed(f"E6-tilde Gram mismatch at ({i}, {j})")
     return E6TildeFiber(graph, classes, (1, 2, 3, 2, 1, 2, 1))

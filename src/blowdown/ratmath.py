@@ -15,10 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
-# Python's Fraction already keeps lowest terms and a positive denominator,
-# which is exactly the scalar contract everything downstream relies on.
-Rational = Fraction
-
 Scalar = Union[int, Fraction]
 
 GE = "ge"  # form(x) >= 0
@@ -38,6 +34,10 @@ class SingularMatrix(ValueError):
 
 class EmptySystem(ValueError):
     """Feasibility was requested for an empty constraint system."""
+
+
+class EvidenceRejected(Exception):
+    """A computed claim failed its independent re-check."""
 
 
 def _frac(x: Scalar) -> Fraction:
@@ -98,11 +98,7 @@ class Matrix:
         return f"Matrix({[list(map(str, r)) for r in self._rows]})"
 
     def __str__(self) -> str:
-        cells = [[str(x) for x in r] for r in self._rows]
-        widths = [max(len(cells[i][j]) for i in range(self.nrows)) for j in range(self.ncols)]
-        return "\n".join(
-            "[ " + "  ".join(c.rjust(w) for c, w in zip(row, widths)) + " ]" for row in cells
-        )
+        return "\n".join(column_layout([[str(x) for x in r] for r in self._rows]))
 
     def __mul__(self, other: "Matrix | Scalar") -> "Matrix":
         if isinstance(other, Matrix):
@@ -114,9 +110,6 @@ class Matrix:
 
     def __rmul__(self, other: Scalar) -> "Matrix":
         return self * other
-
-    def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self._rows)))
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
@@ -185,9 +178,10 @@ class Matrix:
         )
 
 
-def invert(m: Matrix) -> Matrix:
-    """Exact inverse; raises SingularMatrix / ShapeMismatch."""
-    return m.inverse()
+def column_layout(cells: Sequence[Sequence[str]]) -> list[str]:
+    """Bracketed rows of right-aligned cells, one width per column."""
+    widths = [max(map(len, col)) for col in zip(*cells)]
+    return ["[ " + "  ".join(c.rjust(w) for c, w in zip(row, widths)) + " ]" for row in cells]
 
 
 class LinearForm:
@@ -430,9 +424,10 @@ def _combine(pos: _Row, neg: _Row, var: str) -> _Row:
 def lp_feasible(constraints: Sequence[Constraint]) -> LpOutcome:
     """Decide exact feasibility of linear GE/EQ constraints.
 
-    Feasible outcomes carry a witness point re-checked against every input
-    constraint; infeasible outcomes carry a Farkas certificate re-expanded
-    and verified before return.  Raises EmptySystem for an empty input.
+    This is the one gate for solver evidence: feasible outcomes carry a
+    witness point re-checked against every input constraint, infeasible
+    outcomes a Farkas certificate re-expanded and checked.  Raises
+    EvidenceRejected if either check fails, EmptySystem for an empty input.
     """
     if not constraints:
         raise EmptySystem("no constraints given")
@@ -456,7 +451,8 @@ def lp_feasible(constraints: Sequence[Constraint]) -> LpOutcome:
     def finish_infeasible(bad: _Row) -> LpOutcome:
         scale = -bad.const  # positive; rescale so the combination is exactly -1
         certificate = tuple(mult / scale for mult in bad.mults)
-        assert check_certificate(ge_system, certificate)
+        if not check_certificate(ge_system, certificate):
+            raise EvidenceRejected("Farkas certificate does not combine to 0 >= 1")
         return LpOutcome(INFEASIBLE, None, certificate, tuple(ge_system), tuple(origins))
 
     def split_constants(pending: list[_Row]) -> tuple[list[_Row], _Row | None]:
@@ -539,5 +535,6 @@ def lp_feasible(constraints: Sequence[Constraint]) -> LpOutcome:
     for c in constraints:
         for v in c.form.variables:
             witness.setdefault(v, Fraction(0))
-    assert check_witness(constraints, witness)
+    if not check_witness(constraints, witness):
+        raise EvidenceRejected("witness point violates a constraint")
     return LpOutcome(FEASIBLE, witness, None, tuple(ge_system), tuple(origins))

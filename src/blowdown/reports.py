@@ -19,10 +19,8 @@ from pathlib import Path
 
 from blowdown.cone import (
     POSITIVE,
-    ConeSystem,
     DualCoords,
     PositivityResult,
-    blowdown_pairing,
     certify_positive,
     pair_dual,
     restrict,
@@ -42,15 +40,8 @@ from blowdown.invariants import (
     wall_crossing_delta,
 )
 from blowdown.lattice import Ambient, HomologyClass, blow_up, standard_classes
-from blowdown.plumbing import (
-    Configuration,
-    EmbeddingCheck,
-    EmbeddingFailed,
-    make_cp,
-    make_e6_tilde,
-    verify_embedding,
-)
-from blowdown.ratmath import LinearForm, Matrix, check_certificate
+from blowdown.plumbing import Configuration, make_cp, make_e6_tilde
+from blowdown.ratmath import EvidenceRejected, LinearForm, Matrix, column_layout
 
 COMPUTED = "computed"
 ASSUMED = "assumed"
@@ -80,7 +71,6 @@ class Scenario:
     canonical: tuple[int, ...]
     simply_connected_asserted: bool = False
     justification: str = ""
-    cone: ConeSystem | None = None
 
     def __post_init__(self):
         if len(self.classes) != self.p - 1:
@@ -103,20 +93,18 @@ class ConclusionStep:
 
 @dataclass(frozen=True)
 class Report:
-    """Deterministic, exact record of one computation chain."""
+    """Deterministic, exact record of one computation chain.  The JSON dict
+    is the one report model; the text form is rendered from it."""
 
     kind: str
     scenario: Scenario | None = None
     configuration: Configuration | None = None
-    embedding: EmbeddingCheck | None = None
-    canonical_class: HomologyClass | None = None
     canonical_restriction: DualCoords | None = None
     omega_restriction: DualCoords | None = None
     ambient_pairing: LinearForm | None = None
     restricted_pairing: LinearForm | None = None
     blowdown_form: LinearForm | None = None
     positivity: PositivityResult | None = None
-    evidence_reverified: bool | None = None
     invariant_steps: tuple[tuple[str, ManifoldInvariants], ...] = ()
     homeomorphism_type: str | None = None
     sw_records: tuple[SwRecord, ...] = ()
@@ -141,15 +129,19 @@ class Report:
                 "justification": s.justification,
             }
         if self.configuration is not None:
-            out["configuration"] = _configuration_json(self.configuration)
-        if self.embedding is not None:
-            out["embedding"] = {
-                "verified": self.embedding.ok,
-                "entries_checked": self.embedding.entries_checked,
-                "first_mismatch": None
-                if self.embedding.first_mismatch is None
-                else list(map(str, self.embedding.first_mismatch)),
+            cfg = self.configuration
+            out["configuration"] = {
+                "p": cfg.p,
+                "vertices": [[name, weight] for name, weight in cfg.graph.vertices],
+                **configuration_fields(cfg),
             }
+            check = cfg.embedding
+            if check is not None:
+                out["embedding"] = {
+                    "verified": check.ok,
+                    "entries_checked": check.entries_checked,
+                    "first_mismatch": check.first_mismatch,
+                }
         if self.canonical_restriction is not None:
             out["restriction"] = {
                 "canonical": [str(c) for c in self.canonical_restriction.coords],
@@ -162,7 +154,7 @@ class Report:
                 "blowdown": _form_json(self.blowdown_form),
             }
         if self.positivity is not None:
-            out["positivity"] = _positivity_json(self.positivity, self.evidence_reverified)
+            out["positivity"] = _positivity_json(self.positivity)
         if self.invariant_steps:
             out["invariants"] = [
                 {
@@ -210,71 +202,13 @@ class Report:
         return json.dumps(self.to_json_dict(), indent=2)
 
     def to_text(self) -> str:
-        lines: list[str] = [f"== {self.kind} =="]
-        if self.scenario is not None:
-            s = self.scenario
-            lines.append(f"scenario: {s.name}  (n = {s.n}, p = {s.p})")
-            for i, vec in enumerate(s.classes, start=1):
-                lines.append(f"  u{i} = [{', '.join(map(str, vec))}]")
-            lines.append(f"  canonical = [{', '.join(map(str, s.canonical))}]")
-            if s.simply_connected_asserted:
-                lines.append(f"  assume simply_connected = true  \"{s.justification}\"")
-        if self.configuration is not None:
-            cfg = self.configuration
-            lines.append(
-                f"configuration: chain of {cfg.rank} spheres, weights "
-                f"[{', '.join(map(str, cfg.graph.weights))}]"
-            )
-            q, r = cfg.boundary
-            lines.append(f"  boundary lens space: L({q}, {r})")
-            lines.append("  P =")
-            lines.extend("    " + row for row in str(cfg.P).splitlines())
-            lines.append("  Q =")
-            lines.extend("    " + row for row in str(cfg.Q).splitlines())
-            lines.append(
-                f"  det P = {cfg.P.det()}, negative definite: {cfg.P.is_negative_definite()}"
-            )
-        if self.embedding is not None:
-            lines.append(
-                f"embedding check: {'PASS' if self.embedding.ok else 'FAIL'} "
-                f"({self.embedding.message})"
-            )
-        if self.canonical_restriction is not None:
-            lines.append(f"K|C  = {self.canonical_restriction}")
-            lines.append(f"w|C  = {self.omega_restriction}")
-        if self.blowdown_form is not None:
-            lines.append(f"K.w (ambient)      = {self.ambient_pairing}")
-            lines.append(f"K|C.w|C (via Q)    = {self.restricted_pairing}")
-            lines.append(f"K_p.w_p (blowdown) = {self.blowdown_form}")
-        if self.positivity is not None:
-            lines.extend(_positivity_text(self.positivity, self.evidence_reverified))
-        if self.invariant_steps:
-            lines.append("invariants (b2+, b2-, e, sigma, c1^2):")
-            for stage, inv in self.invariant_steps:
-                sc = "simply connected" if inv.simply_connected else "pi_1 not asserted"
-                lines.append(f"  {stage}: {inv.as_tuple()}  [{inv.parity}, {sc}]")
-        if self.homeomorphism_type is not None:
-            lines.append(f"homeomorphism type: {self.homeomorphism_type}")
-        if self.basic_classes:
-            for label, c in self.basic_classes:
-                lines.append(f"basic class {label}: [{', '.join(map(str, c.coeffs))}], square {c.square}")
-        for r in self.sw_records:
-            delta = "n/a" if r.delta is None else str(r.delta)
-            lines.append(
-                f"sw record {r.label}: dimension {r.dimension}, wall-crossing delta {delta} ({r.context})"
-            )
-        if self.einstein_bound is not None:
-            lines.append(f"Einstein obstruction: k <= {self.einstein_bound}; {self.contradiction}")
-        lines.append("conclusions:")
-        for c in self.conclusions:
-            lines.append(f"  [{c.status.upper():8}] {c.statement}  ({c.source})")
-        return "\n".join(lines) + "\n"
+        return _render_text(self.to_json_dict())
 
 
-def _configuration_json(cfg: Configuration) -> dict:
+def configuration_fields(cfg: Configuration) -> dict:
+    """The JSON fields shared by a report's configuration section and the
+    `plumbing` command."""
     return {
-        "p": cfg.p,
-        "vertices": [[name, weight] for name, weight in cfg.graph.vertices],
         "edges": [list(e) for e in cfg.graph.edges],
         "boundary_lens_space": list(cfg.boundary),
         "P": [[str(x) for x in row] for row in cfg.P.rows],
@@ -294,8 +228,9 @@ def _form_json(form: LinearForm | Fraction) -> dict:
     }
 
 
-def _positivity_json(result: PositivityResult, reverified: bool | None) -> dict:
-    out: dict = {"verdict": result.verdict, "reverified": reverified}
+def _positivity_json(result: PositivityResult) -> dict:
+    # No report exists without the evidence gate in lp_feasible passing.
+    out: dict = {"verdict": result.verdict, "reverified": True}
     if result.certificate is not None:
         cert = result.certificate
         out["certificate"] = {
@@ -308,21 +243,86 @@ def _positivity_json(result: PositivityResult, reverified: bool | None) -> dict:
     return out
 
 
-def _positivity_text(result: PositivityResult, reverified: bool | None) -> list[str]:
-    lines = [f"positivity over the admissible cone: {result.verdict.upper()}"]
-    if result.certificate is not None:
-        cert = result.certificate
+def _vector(values) -> str:
+    return f"[{', '.join(map(str, values))}]"
+
+
+def _render_text(d: dict) -> str:
+    """The text report, rendered from the JSON report dict alone."""
+    lines: list[str] = [f"== {d['report']} =="]
+    if "scenario" in d:
+        s = d["scenario"]
+        lines.append(f"scenario: {s['name']}  (n = {s['n']}, p = {s['p']})")
+        lines.extend(f"  {u} = {_vector(vec)}" for u, vec in s["classes"].items())
+        lines.append(f"  canonical = {_vector(s['canonical'])}")
+        if s["assume_simply_connected"]:
+            lines.append(f"  assume simply_connected = true  \"{s['justification']}\"")
+    if "configuration" in d:
+        cfg = d["configuration"]
+        weights = [w for _, w in cfg["vertices"]]
+        lines.append(f"configuration: chain of {len(weights)} spheres, weights {_vector(weights)}")
+        lines.append("  boundary lens space: L({}, {})".format(*cfg["boundary_lens_space"]))
+        lines.append("  P =")
+        lines.extend("    " + row for row in column_layout(cfg["P"]))
+        lines.append("  Q =")
+        lines.extend("    " + row for row in column_layout(cfg["Q"]))
+        lines.append(f"  det P = {cfg['det_P']}, negative definite: {cfg['negative_definite']}")
+    if "embedding" in d:  # stored only by a passing check; Configuration raises otherwise
+        checked = d["embedding"]["entries_checked"]
+        lines.append(f"embedding check: PASS (all {checked} Gram entries match)")
+    if "restriction" in d:
+        r = d["restriction"]
+        lines.append("K|C  = " + " + ".join(f"{c}*g{i}" for i, c in enumerate(r["canonical"], 1)))
         lines.append(
-            f"  Farkas certificate: {len(cert.certificate)} multipliers combine the "
-            f"constraints into 0 >= 1 (re-verified: {reverified})"
+            "w|C  = " + " + ".join(f"({c['text']})*g{i}" for i, c in enumerate(r["omega"], 1))
         )
-        for m, c in zip(cert.certificate, cert.ge_system):
-            if m:
-                lines.append(f"    {m} * ({c})")
-    if result.witness is not None:
-        point = ", ".join(f"{v}={result.witness[v]}" for v in sorted(result.witness))
-        lines.append(f"  counterexample point (re-verified: {reverified}): {point}")
-    return lines
+    if "pairing" in d:
+        pairing = d["pairing"]
+        lines.append(f"K.w (ambient)      = {pairing['ambient']['text']}")
+        lines.append(f"K|C.w|C (via Q)    = {pairing['restricted']['text']}")
+        lines.append(f"K_p.w_p (blowdown) = {pairing['blowdown']['text']}")
+    if "positivity" in d:
+        pos = d["positivity"]
+        lines.append(f"positivity over the admissible cone: {pos['verdict'].upper()}")
+        if "certificate" in pos:
+            cert = pos["certificate"]
+            lines.append(
+                f"  Farkas certificate: {len(cert['multipliers'])} multipliers combine the "
+                f"constraints into 0 >= 1 (re-verified: True)"
+            )
+            for m, c in zip(cert["multipliers"], cert["constraints"]):
+                if m != "0":
+                    lines.append(f"    {m} * ({c})")
+        if "witness" in pos:
+            point = ", ".join(f"{v}={x}" for v, x in pos["witness"].items())
+            lines.append(f"  counterexample point (re-verified: True): {point}")
+    if "invariants" in d:
+        lines.append("invariants (b2+, b2-, e, sigma, c1^2):")
+        for inv in d["invariants"]:
+            values = ", ".join(
+                str(inv[k]) for k in ("b2plus", "b2minus", "euler", "signature", "c1sq")
+            )
+            sc = "simply connected" if inv["simply_connected"] else "pi_1 not asserted"
+            lines.append(f"  {inv['stage']}: ({values})  [{inv['parity']}, {sc}]")
+    if "homeomorphism_type" in d:
+        lines.append(f"homeomorphism type: {d['homeomorphism_type']}")
+    for b in d.get("basic_classes", ()):
+        lines.append(
+            f"basic class {b['label']}: {_vector(b['coefficients'])}, square {b['square']}"
+        )
+    for r in d.get("sw", ()):
+        delta = "n/a" if r["wall_crossing_delta"] is None else r["wall_crossing_delta"]
+        lines.append(
+            f"sw record {r['label']}: dimension {r['dimension']}, "
+            f"wall-crossing delta {delta} ({r['context']})"
+        )
+    if "einstein" in d:
+        e = d["einstein"]
+        lines.append(f"Einstein obstruction: k <= {e['kotschick_bound']}; {e['contradiction']}")
+    lines.append("conclusions:")
+    for c in d["conclusions"]:
+        lines.append(f"  [{c['status'].upper():8}] {c['statement']}  ({c['source']})")
+    return "\n".join(lines) + "\n"
 
 
 # -- scenario files --------------------------------------------------------
@@ -580,36 +580,23 @@ def _chain_conclusions(
 
 
 def run_pipeline(scenario: Scenario) -> Report:
-    """verify_embedding -> restrict -> pair_dual -> blowdown_pairing ->
-    certify_positive -> invariant bookkeeping.  Embedding failure aborts with
-    the first mismatched Gram entry; a NotPositive verdict is reported, not
+    """embedding check -> restrict -> pair_dual -> blow-down pairing ->
+    certify_positive -> invariant bookkeeping.  Embedding failure raises
+    EmbeddingFailed naming the first mismatched Gram entry, rejected solver
+    evidence raises EvidenceRejected; a NotPositive verdict is reported, not
     raised."""
     ambient = Ambient(scenario.n)
     classes = tuple(ambient.clazz(v) for v in scenario.classes)
     K = ambient.clazz(scenario.canonical)
-
-    config = make_cp(scenario.p)
-    check = verify_embedding(config, classes)
-    if not check:
-        raise EmbeddingFailed(check.message)
-    config = config.with_embedding(classes)
+    config = make_cp(scenario.p).with_embedding(classes)
 
     omega = symplectic_class(scenario.n)
     k_restricted = restrict(K, config)
     omega_restricted = restrict(omega, config)
     restricted_pairing = pair_dual(k_restricted, omega_restricted)
     ambient_pairing = omega.dot(K)
-    blowdown_form = blowdown_pairing(K, config)
-
-    cone = scenario.cone if scenario.cone is not None else symplectic_cone(scenario.n)
-    positivity = certify_positive(blowdown_form, cone)
-    if positivity.is_positive:
-        cert = positivity.certificate
-        reverified = check_certificate(cert.ge_system, cert.certificate)
-    else:
-        reverified = cone.contains(positivity.witness) and (
-            blowdown_form.evaluate(positivity.witness) <= 0
-        )
+    blowdown_form = ambient_pairing - restricted_pairing
+    positivity = certify_positive(blowdown_form, symplectic_cone(scenario.n))
 
     inv_start = rational_surface_invariants(scenario.n)
     inv_end = rational_blowdown(
@@ -632,15 +619,12 @@ def run_pipeline(scenario: Scenario) -> Report:
         kind=BLOWDOWN_CHAIN,
         scenario=scenario,
         configuration=config,
-        embedding=check,
-        canonical_class=K,
         canonical_restriction=k_restricted,
         omega_restriction=omega_restricted,
         ambient_pairing=ambient_pairing,
         restricted_pairing=restricted_pairing,
         blowdown_form=blowdown_form,
         positivity=positivity,
-        evidence_reverified=reverified,
         invariant_steps=(
             ("ambient rational surface", inv_start),
             ("after rational blow-down", inv_end),
@@ -673,14 +657,16 @@ def run_main3() -> Report:
     # odd lattice of the same rank, where the canonical class is standard.
     base_lattice = Ambient(inv_base.b2minus)
     K = base_lattice.canonical_class()
-    assert K.square == inv_base.c1sq
+    if K.square != inv_base.c1sq:
+        raise EvidenceRejected(f"K^2 = {K.square} in the model lattice, c1^2 = {inv_base.c1sq}")
 
     basic = blowup_basic_classes([K])
     labels = ("K+E", "K-E")
     inv_blowup = blow_up_invariants(inv_base)
 
     squares = [c.square for c in basic]
-    assert squares[0] == squares[1]
+    if squares[0] != squares[1]:
+        raise EvidenceRejected(f"basic classes K+E, K-E have squares {squares}")
     d = sw_dimension(squares[0], inv_blowup)
     bound = kotschick_bound(inv_blowup, d)
     contradiction = (

@@ -1,8 +1,14 @@
-"""Shared helpers: random admissible cone points and chain class fixtures."""
+"""Shared helpers: random admissible cone points, chain class fixtures and
+an optimized-interpreter runner."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import blowdown
 from blowdown.lattice import Ambient, blow_up, standard_classes
 from blowdown.plumbing import make_e6_tilde
 
@@ -45,3 +51,11 @@ def chain_classes_c5():
     std = standard_classes(ambient)
     S = 3 * std.f + std.e[1] - 2 * std.e[9] - 2 * std.e[10] - 2 * std.e[11]
     return tuple(tracked[:3]) + (S,)
+
+
+def run_optimized(*args: str) -> subprocess.CompletedProcess:
+    """`python -O *args` (asserts stripped) with the package under test importable."""
+    env = dict(os.environ, PYTHONPATH=str(Path(blowdown.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-O", *args], capture_output=True, text=True, env=env, timeout=120
+    )

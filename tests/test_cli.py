@@ -4,6 +4,8 @@ import io
 import json
 from fractions import Fraction
 
+from conftest import run_optimized
+
 from blowdown.cli import main
 from blowdown.ratmath import Matrix
 from blowdown.reports import builtin_scenario_text
@@ -134,3 +136,29 @@ class TestVerifyCommand:
         assert code == 0
         assert "NOT_POSITIVE" in out
         assert "counterexample point" in out
+
+
+CORRUPT_FIRST_MULTIPLIER = """
+import sys
+import blowdown.ratmath as ratmath
+from blowdown.cli import main
+
+honest_combine = ratmath._combine
+
+def corrupted_combine(pos, neg, var):
+    row = honest_combine(pos, neg, var)
+    row.mults[0] += 1
+    return row
+
+ratmath._combine = corrupted_combine
+sys.exit(main(["report", "main1"]))
+"""
+
+
+class TestEvidenceGate:
+    def test_corrupted_certificate_is_rejected_under_optimize(self):
+        proc = run_optimized("-c", CORRUPT_FIRST_MULTIPLIER)
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("verification failure: "), proc.stderr

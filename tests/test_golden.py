@@ -10,6 +10,7 @@ import io
 from pathlib import Path
 
 import pytest
+from conftest import run_optimized
 
 from blowdown.cli import main
 
@@ -63,3 +64,11 @@ def test_cli_output_matches_golden(name):
     code = main(golden_argv(name), out=out, err=err)
     assert (code, err.getvalue()) == (0, "")
     assert_matches_golden(name, out.getvalue())
+
+
+def test_optimized_interpreter_matches_golden():
+    """The same bytes under python -O, so no output depends on an assert."""
+    for name in sorted(GOLDEN):
+        proc = run_optimized("-m", "blowdown.cli", *golden_argv(name))
+        assert (proc.returncode, proc.stderr) == (0, ""), name
+        assert_matches_golden(name, proc.stdout)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from blowdown import cone, plumbing, ratmath, reports
 from blowdown.cone import POSITIVE
 from blowdown.plumbing import EmbeddingFailed
 from blowdown.reports import (
@@ -32,6 +33,9 @@ C7_CHAIN_VECTORS = (
     (0, 0, 0, 0, 0, 1, 0, 0, 0, -1, 0, 0, 0, 0),
     (12, -4, -4, -4, -4, -4, -4, -4, -4, -3, -2, -2, -2, -2),
 )
+
+# u1 = h - e1 - ... - e5 has square -4 but pairs badly with K
+NOT_POSITIVE_SCENARIO = Scenario("flat", 5, 2, ((1, -1, -1, -1, -1, -1),), (-3, 1, 1, 1, 1, 1))
 
 
 class TestBuiltinScenarios:
@@ -112,11 +116,10 @@ class TestMainChains:
     def test_main1_headline_values(self):
         r = run_main1()
         assert r.positivity.verdict == POSITIVE
-        assert r.evidence_reverified
         assert r.canonical_restriction.coords == tuple(Fraction(c) for c in (0, 0, 0, 0, 0, 7))
         assert r.invariant_steps[-1][1].as_tuple() == (1, 7, 10, -6, 2)
         assert r.homeomorphism_type == "CP^2 # 7CPbar^2"
-        assert r.embedding.entries_checked == 21
+        assert r.configuration.embedding.entries_checked == 21
         statuses = {c.status for c in r.conclusions}
         assert statuses == {COMPUTED, ASSUMED}
 
@@ -174,14 +177,45 @@ class TestRunScenario:
             run_pipeline(scenario)
 
     def test_not_positive_is_reported_not_raised(self):
-        # u1 = h - e1 - ... - e5 has square -4 but pairs badly with K
-        scenario = Scenario("flat", 5, 2, ((1, -1, -1, -1, -1, -1),), (-3, 1, 1, 1, 1, 1))
-        report = run_pipeline(scenario)
+        report = run_pipeline(NOT_POSITIVE_SCENARIO)
         assert not report.positivity.is_positive
         assert report.positivity.witness is not None
-        assert report.evidence_reverified
         assert any("not positive" in c.statement for c in report.conclusions)
         assert report.homeomorphism_type is None  # pi_1 never asserted
+
+
+class TestOneGatePerFact:
+    # checked function -> the module that defines it
+    COUNTED = {
+        "verify_embedding": plumbing,
+        "check_certificate": ratmath,
+        "check_witness": ratmath,
+        "restrict": cone,
+        "pair_dual": cone,
+    }
+
+    def count_calls(self, monkeypatch) -> dict[str, int]:
+        calls = dict.fromkeys(self.COUNTED, 0)
+        for name, home in self.COUNTED.items():
+            real = getattr(home, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            for module in (ratmath, plumbing, cone, reports):
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "scenario", [builtin_scenario("C7-main"), NOT_POSITIVE_SCENARIO], ids=["main1", "flat"]
+    )
+    def test_each_check_runs_once_per_pipeline(self, monkeypatch, scenario):
+        calls = self.count_calls(monkeypatch)
+        run_pipeline(scenario)
+        evidence = calls.pop("check_certificate") + calls.pop("check_witness")
+        assert (evidence, calls) == (1, {"verify_embedding": 1, "restrict": 2, "pair_dual": 1})
 
 
 class TestReferenceChecks:
