@@ -118,9 +118,6 @@ def main(argv: Sequence[str] | None = None, out=None, err=None) -> int:
     except (ParseError, InvalidP) as exc:
         err.write(f"input error: {exc}\n")
         return 2
-    except FileNotFoundError as exc:
-        err.write(f"input error: {exc}\n")
-        return 2
     except (EmbeddingFailed, EvidenceRejected) as exc:
         err.write(f"verification failure: {exc}\n")
         return 1

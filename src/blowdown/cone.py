@@ -153,24 +153,10 @@ def restrict(x: HomologyClass | SymplecticClass, config: Configuration) -> DualC
     return DualCoords(config, tuple(Fraction(x.dot(u)) for u in us))
 
 
-def _scaled_product(x: Coord, y: Coord, q: Fraction) -> LinearForm:
-    """q * x * y where at most one factor is a non-constant form."""
-    if isinstance(x, LinearForm) and x.is_constant():
-        x = x.const
-    if isinstance(y, LinearForm) and y.is_constant():
-        y = y.const
-    if isinstance(x, LinearForm) and isinstance(y, LinearForm):
-        raise ValueError("pairing two symbolic restrictions would be quadratic")
-    if isinstance(x, LinearForm):
-        return x * (q * y)
-    if isinstance(y, LinearForm):
-        return y * (q * x)
-    return LinearForm.constant(q * x * y)
-
-
 def pair_dual(x: DualCoords, y: DualCoords) -> LinearForm:
     """x^T Q y expanded over the symbols (Q being the configuration's dual
-    intersection form)."""
+    intersection form).  Raises ValueError when both sides are symbolic,
+    since the product would be quadratic."""
     if x.config != y.config:
         raise ConfigMismatch("dual coordinates belong to different configurations")
     Q = x.config.Q
@@ -181,7 +167,7 @@ def pair_dual(x: DualCoords, y: DualCoords) -> LinearForm:
         for j, yj in enumerate(y.coords):
             q = Q[i, j]
             if q:
-                total = total + _scaled_product(xi, yj, q)
+                total = total + (xi * q) * yj
     return total
 
 

@@ -42,9 +42,6 @@ class Ambient:
     def clazz(self, coeffs: Sequence[int]) -> "HomologyClass":
         return HomologyClass(self, tuple(coeffs))
 
-    def zero(self) -> "HomologyClass":
-        return self.clazz((0,) * self.rank)
-
     def h(self) -> "HomologyClass":
         """The line generator, square +1."""
         return self.clazz((1,) + (0,) * self.n)

@@ -128,8 +128,14 @@ def make_cp(p: int) -> Configuration:
     vertices = tuple((f"u{i}", w) for i, w in enumerate(weights, start=1))
     edges = tuple((i, i + 1) for i in range(p - 2))
     graph = PlumbingGraph(vertices, edges)
-    P = graph.gram_matrix()
-    return Configuration(p, graph, P, P.inverse(), (p * p, 1 - p))
+    # Q = P^-1 from Usmani's closed-form inverse of a tridiagonal matrix (1994).
+    Q = Matrix(
+        [
+            [Fraction(-min(i, j) * ((p - 1 - max(i, j)) * (p + 1) + 1), p * p) for j in range(1, p)]
+            for i in range(1, p)
+        ]
+    )
+    return Configuration(p, graph, graph.gram_matrix(), Q, (p * p, 1 - p))
 
 
 class EmbeddingCheck(NamedTuple):

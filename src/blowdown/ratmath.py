@@ -28,10 +28,6 @@ class ShapeMismatch(ValueError):
     """Matrix dimensions do not admit the requested operation."""
 
 
-class SingularMatrix(ValueError):
-    """Inversion was requested for a matrix with determinant zero."""
-
-
 class EmptySystem(ValueError):
     """Feasibility was requested for an empty constraint system."""
 
@@ -81,9 +77,6 @@ class Matrix:
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         return self._rows
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self._rows[i]
-
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
         return self._rows[i][j]
@@ -114,68 +107,43 @@ class Matrix:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    def det(self) -> Fraction:
-        """Determinant by exact Gaussian elimination."""
+    def _eliminate(self) -> tuple[list[Fraction], int]:
+        """Exact Gaussian elimination: the pivots and the number of row swaps.
+        A column with no nonzero entry left ends the pivots with a zero.
+        Without swaps the k-th pivot is D_k / D_{k-1}, D_k being the k-th
+        leading principal minor; a forced swap means some D_k is zero."""
         if not self.is_square():
-            raise ShapeMismatch("determinant of a non-square matrix")
+            raise ShapeMismatch("elimination of a non-square matrix")
         n = self.nrows
         a = [list(r) for r in self._rows]
-        sign = 1
+        pivots: list[Fraction] = []
+        swaps = 0
         for col in range(n):
             piv = next((r for r in range(col, n) if a[r][col]), None)
             if piv is None:
-                return Fraction(0)
+                pivots.append(Fraction(0))
+                break
             if piv != col:
                 a[piv], a[col] = a[col], a[piv]
-                sign = -sign
+                swaps += 1
             p = a[col][col]
+            pivots.append(p)
             for r in range(col + 1, n):
                 if a[r][col]:
                     f = a[r][col] / p
                     a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        result = Fraction(sign)
-        for i in range(n):
-            result *= a[i][i]
-        return result
+        return pivots, swaps
 
-    def inverse(self) -> "Matrix":
-        """Exact inverse by Gauss-Jordan elimination with rational pivots."""
-        if not self.is_square():
-            raise ShapeMismatch("inverse of a non-square matrix")
-        n = self.nrows
-        a = [list(r) for r in self._rows]
-        inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col]), None)
-            if piv is None:
-                raise SingularMatrix("matrix has determinant zero")
-            if piv != col:
-                a[piv], a[col] = a[col], a[piv]
-                inv[piv], inv[col] = inv[col], inv[piv]
-            p = a[col][col]
-            if p != 1:
-                a[col] = [x / p for x in a[col]]
-                inv[col] = [x / p for x in inv[col]]
-            for r in range(n):
-                if r != col and a[r][col]:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                    inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-        return Matrix(inv)
-
-    def leading_principal_minors(self) -> tuple[Fraction, ...]:
-        if not self.is_square():
-            raise ShapeMismatch("principal minors of a non-square matrix")
-        return tuple(
-            Matrix([r[: k + 1] for r in self._rows[: k + 1]]).det() for k in range(self.nrows)
-        )
+    def det(self) -> Fraction:
+        """The swap sign times the product of the elimination pivots."""
+        pivots, swaps = self._eliminate()
+        return math.prod(pivots, start=Fraction((-1) ** swaps))
 
     def is_negative_definite(self) -> bool:
-        """Leading principal minors alternate in sign starting negative."""
-        return all(
-            (minor < 0) if k % 2 == 0 else (minor > 0)
-            for k, minor in enumerate(self.leading_principal_minors())
-        )
+        """Leading principal minors alternate in sign starting negative,
+        that is: no forced row swap and every pivot negative."""
+        pivots, swaps = self._eliminate()
+        return swaps == 0 and all(p < 0 for p in pivots)
 
 
 def column_layout(cells: Sequence[Sequence[str]]) -> list[str]:
@@ -334,17 +302,14 @@ class LpOutcome:
 
     `ge_system` is the directed inequality system actually decided: GE
     constraints verbatim, each EQ constraint contributing both directions.
-    `origins[j] = (i, sign)` maps row j of `ge_system` back to input
-    constraint i.  An infeasibility `certificate` is one nonnegative
-    multiplier per `ge_system` row; a feasibility `witness` is an exact
-    rational point.
+    An infeasibility `certificate` is one nonnegative multiplier per
+    `ge_system` row; a feasibility `witness` is an exact rational point.
     """
 
     status: str
     witness: dict[str, Fraction] | None
     certificate: tuple[Fraction, ...] | None
     ge_system: tuple[Constraint, ...]
-    origins: tuple[tuple[int, int], ...]
 
     @property
     def feasible(self) -> bool:
@@ -433,13 +398,10 @@ def lp_feasible(constraints: Sequence[Constraint]) -> LpOutcome:
         raise EmptySystem("no constraints given")
 
     ge_system: list[Constraint] = []
-    origins: list[tuple[int, int]] = []
-    for i, c in enumerate(constraints):
+    for c in constraints:
         ge_system.append(Constraint(c.form, GE))
-        origins.append((i, +1))
         if c.kind == EQ:
             ge_system.append(Constraint(-c.form, GE))
-            origins.append((i, -1))
 
     m = len(ge_system)
     rows: list[_Row] = []
@@ -453,7 +415,7 @@ def lp_feasible(constraints: Sequence[Constraint]) -> LpOutcome:
         certificate = tuple(mult / scale for mult in bad.mults)
         if not check_certificate(ge_system, certificate):
             raise EvidenceRejected("Farkas certificate does not combine to 0 >= 1")
-        return LpOutcome(INFEASIBLE, None, certificate, tuple(ge_system), tuple(origins))
+        return LpOutcome(INFEASIBLE, None, certificate, tuple(ge_system))
 
     def split_constants(pending: list[_Row]) -> tuple[list[_Row], _Row | None]:
         kept: list[_Row] = []
@@ -537,4 +499,4 @@ def lp_feasible(constraints: Sequence[Constraint]) -> LpOutcome:
             witness.setdefault(v, Fraction(0))
     if not check_witness(constraints, witness):
         raise EvidenceRejected("witness point violates a constraint")
-    return LpOutcome(FEASIBLE, witness, None, tuple(ge_system), tuple(origins))
+    return LpOutcome(FEASIBLE, witness, None, tuple(ge_system))

@@ -62,13 +62,15 @@ class ParseError(ValueError):
 class Scenario:
     """One run of the pipeline: ambient size, chain parameter, the class
     vectors u_1..u_{p-1} (coefficient order h, e_1, ..., e_n), the canonical
-    class, and the asserted-but-not-computed simple-connectivity hypothesis."""
+    class (default -3h + e_1 + ... + e_n, built once the class lengths have
+    bounded n), and the asserted-but-not-computed simple-connectivity
+    hypothesis."""
 
     name: str
     n: int
     p: int
     classes: tuple[tuple[int, ...], ...]
-    canonical: tuple[int, ...]
+    canonical: tuple[int, ...] | None = None
     simply_connected_asserted: bool = False
     justification: str = ""
 
@@ -80,7 +82,9 @@ class Scenario:
         for i, vec in enumerate(self.classes, start=1):
             if len(vec) != self.n + 1:
                 raise ValueError(f"class u{i} has {len(vec)} coefficients, expected {self.n + 1}")
-        if len(self.canonical) != self.n + 1:
+        if self.canonical is None:
+            object.__setattr__(self, "canonical", (-3,) + (1,) * self.n)
+        elif len(self.canonical) != self.n + 1:
             raise ValueError("canonical class has the wrong length")
 
 
@@ -397,18 +401,14 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
         raise ParseError("missing directive: p = <int>")
     if p < 2:
         raise ParseError(f"p must be >= 2, got {p}")
-    expected = set(range(1, p))
-    if set(classes) != expected:
-        missing = sorted(expected - set(classes))
-        extra = sorted(set(classes) - expected)
-        detail = []
-        if missing:
-            detail.append(f"missing u{', u'.join(map(str, missing))}")
+    # O(class lines), not O(p): p - 1 distinct indices all in range are exactly u1..u{p-1}.
+    extra = [i for i in classes if not 1 <= i < p]
+    if extra or len(classes) != p - 1:
+        missing = next((i for i in range(1, p) if i not in classes), None)
+        detail = [] if missing is None else [f"missing u{missing}"]
         if extra:
-            detail.append(f"unexpected u{', u'.join(map(str, extra))}")
+            detail.append(f"unexpected u{min(extra)}")
         raise ParseError(f"need classes u1..u{p - 1}: " + "; ".join(detail))
-    if canonical is None:
-        canonical = (-3,) + (1,) * n
     try:
         return Scenario(
             name,
@@ -746,8 +746,11 @@ def run_main3() -> Report:
 def run_scenario(path: str | Path) -> Report:
     """Parse a scenario file and run the generic pipeline on it."""
     path = Path(path)
-    scenario = parse_scenario_text(path.read_text(encoding="utf-8"), name=path.stem)
-    return run_pipeline(scenario)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+    return run_pipeline(parse_scenario_text(text, name=path.stem))
 
 
 # -- reference values for --expect-paper ------------------------------------

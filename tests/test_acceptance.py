@@ -130,7 +130,7 @@ def test_criterion_2_fiber_tree_suite():
             for j in range(i + 1, 7):
                 expected = 1 if (i, j) in edges else 0
                 assert pair(fiber.classes[i], fiber.classes[j]) == expected
-        total = Ambient(9).zero()
+        total = Ambient(9).clazz((0,) * 10)
         for m, c in zip((1, 2, 3, 2, 1, 2, 1), fiber.classes):
             total = total + m * c
         assert total.coeffs == (3,) + (-1,) * 9
@@ -268,7 +268,7 @@ def _suite_chain_configurations():
         n = p - 1
         assert cfg.P * cfg.Q == Matrix.identity(n)
         assert abs(cfg.P.det()) == p * p
-        assert cfg.Q.row(n - 1) == tuple(Fraction(-j, p * p) for j in range(1, p))
+        assert cfg.Q.rows[n - 1] == tuple(Fraction(-j, p * p) for j in range(1, p))
         assert cfg.P.is_negative_definite()
 
 

@@ -106,10 +106,29 @@ class TestVerifyCommand:
         assert "verification failure" in err
         assert "expected -4, got -2" in err
 
-    def test_missing_file(self):
-        code, _, err = run_cli("verify", "/nonexistent/path.scenario")
+    def test_missing_file(self, tmp_path):
+        binary = tmp_path / "binary.scenario"
+        binary.write_bytes(b"n = 2\xff\n")
+        for path in ("/nonexistent/path.scenario", str(tmp_path), str(binary)):
+            code, _, err = run_cli("verify", path)
+            assert code == 2
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("input error: "), err
+
+    def test_huge_p_error_names_one_class(self, tmp_path):
+        path = tmp_path / "huge.scenario"
+        path.write_text("n = 3\np = 200000\n", encoding="utf-8")
+        code, _, err = run_cli("verify", str(path))
         assert code == 2
-        assert "input error" in err
+        assert "missing u1" in err and len(err) < 200
+
+    def test_long_chain_of_zero_classes_fails_first_gram_entry(self, tmp_path):
+        path = tmp_path / "zeros.scenario"
+        lines = ["n = 2", "p = 120"] + [f"class u{i} = [0, 0, 0]" for i in range(1, 120)]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, _, err = run_cli("verify", str(path))
+        assert code == 1
+        assert err == "verification failure: Gram mismatch at (u1, u1): expected -2, got 0\n"
 
     def test_parse_error(self, tmp_path):
         path = tmp_path / "junk.scenario"

@@ -170,7 +170,7 @@ class TestPairDual:
 
     def test_zero_coords(self):
         cfg = embedded_c7()
-        z = restrict(Ambient(13).zero(), cfg)
+        z = restrict(Ambient(13).clazz((0,) * 14), cfg)
         w = restrict(symplectic_class(13), cfg)
         assert pair_dual(z, w).is_zero()
 
@@ -179,6 +179,12 @@ class TestPairDual:
         k5 = restrict(Ambient(12).canonical_class(), embedded_c5())
         with pytest.raises(ConfigMismatch):
             pair_dual(k7, k5)
+
+    def test_two_symbolic_restrictions_are_rejected(self):
+        cfg = embedded_c7()
+        w = restrict(symplectic_class(13), cfg)
+        with pytest.raises(ValueError, match="not linear"):
+            pair_dual(w, w)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_dual_basis_consistency(self, p):
@@ -198,8 +204,8 @@ class TestPairDual:
         # random integer combinations stay consistent
         rng = random.Random(100 + p)
         for _ in range(20):
-            x = us[0].ambient.zero()
-            y = us[0].ambient.zero()
+            x = us[0].ambient.clazz((0,) * us[0].ambient.rank)
+            y = us[0].ambient.clazz((0,) * us[0].ambient.rank)
             for u in us:
                 x = x + rng.randint(-3, 3) * u
                 y = y + rng.randint(-3, 3) * u

@@ -132,7 +132,7 @@ class TestCharacteristic:
         assert not is_characteristic(Ambient(2).h())
 
     def test_zero_is_not(self):
-        assert not is_characteristic(Ambient(9).zero())
+        assert not is_characteristic(Ambient(9).clazz((0,) * 10))
 
     @settings(max_examples=150)
     @given(st.data())
@@ -165,7 +165,7 @@ class TestLightCone:
     def test_preconditions(self):
         ambient = Ambient(3)
         with pytest.raises(PreconditionViolated):
-            light_cone_sign(ambient.zero(), ambient.h())
+            light_cone_sign(ambient.clazz((0,) * ambient.rank), ambient.h())
         with pytest.raises(PreconditionViolated):
             light_cone_sign(ambient.e(1), ambient.h())  # square -1
         with pytest.raises(PreconditionViolated):

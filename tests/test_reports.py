@@ -1,6 +1,7 @@
 """Scenario files, the pipeline, report contents and determinism."""
 
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -90,6 +91,16 @@ class TestScenarioParsing:
     def test_wrong_vector_length(self):
         with pytest.raises(ParseError, match="coefficients"):
             parse_scenario_text("n = 3\np = 2\nclass u1 = [1, 0]\n")
+
+    def test_huge_n_is_rejected_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="coefficients"):
+                parse_scenario_text("n = 1000000\np = 2\nclass u1 = [0]\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_default_canonical(self):
         s = parse_scenario_text("n = 2\np = 2\nclass u1 = [0, 1, -1]\n")
