@@ -35,6 +35,10 @@ GOLDEN = {
     "verify-C5-main.json": ["verify", "{C5-main.scenario}", "--expect-paper", "--json"],
     "verify-not-positive.txt": ["verify", "{not-positive.scenario}"],
     "verify-not-positive.json": ["verify", "{not-positive.scenario}", "--json"],
+    "verify-wide-positive.txt": ["verify", "{wide-positive.scenario}"],
+    "verify-wide-positive.json": ["verify", "{wide-positive.scenario}", "--json"],
+    "verify-wide-not-positive.txt": ["verify", "{wide-not-positive.scenario}"],
+    "verify-wide-not-positive.json": ["verify", "{wide-not-positive.scenario}", "--json"],
 }
 
 

@@ -1,5 +1,6 @@
 """Exact matrices, linear forms, and the certified feasibility solver."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -200,3 +201,21 @@ class TestLpFeasible:
                 combo = combine_certificate(outcome.ge_system, outcome.certificate)
                 assert combo.is_constant() and combo.const < 0
         assert feasible and infeasible  # both branches exercised
+
+    # SHA-256 of the solver's answers on the 300 systems above, as generated
+    # by the Fourier-Motzkin eliminator before it moved to integer rows.
+    RANDOM_SYSTEMS_DIGEST = "a868c245467e30d49c49d96dea2e6d02696cee215b0e959e8a5614262a86adfb"
+
+    def test_random_systems_answers_are_pinned(self):
+        """Status, certificate and witness, as strings, byte for byte: the
+        elimination order, duplicate dropping and normalization decide them."""
+        rng = random.Random(20240811)
+        digest = hashlib.sha256()
+        for _ in range(300):
+            outcome = lp_feasible(self._random_system(rng))
+            certificate = None if outcome.certificate is None else list(map(str, outcome.certificate))
+            witness = None if outcome.witness is None else sorted(
+                (v, str(x)) for v, x in outcome.witness.items()
+            )
+            digest.update(repr((outcome.status, certificate, witness)).encode())
+        assert digest.hexdigest() == self.RANDOM_SYSTEMS_DIGEST
