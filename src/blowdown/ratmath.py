@@ -318,10 +318,14 @@ class LpOutcome:
 
 def combine_certificate(ge_system: Sequence[Constraint], multipliers: Sequence[Scalar]) -> LinearForm:
     """Expand the nonnegative combination sum(multiplier * form) exactly."""
-    total = LinearForm()
+    acc: dict[str, Fraction] = {}
+    const = Fraction(0)
     for constraint, m in zip(ge_system, multipliers):
-        total = total + constraint.form * _frac(m)
-    return total
+        q = _frac(m)
+        for v, c in constraint.form.coeffs.items():
+            acc[v] = acc.get(v, 0) + c * q
+        const += constraint.form.const * q
+    return LinearForm(acc, const)
 
 
 def check_certificate(ge_system: Sequence[Constraint], multipliers: Sequence[Scalar]) -> bool:
@@ -340,54 +344,98 @@ def check_witness(constraints: Sequence[Constraint], witness: Mapping[str, Scala
     return all(c.holds_at(witness) for c in constraints)
 
 
-class _Row:
-    """Working inequality `coeffs . x + const >= 0` plus its provenance:
-    `mults[j]` such that the row equals sum(mults[j] * ge_form[j])."""
-
-    __slots__ = ("coeffs", "const", "mults")
-
-    def __init__(self, coeffs: dict[str, Fraction], const: Fraction, mults: list[Fraction]):
-        self.coeffs = {v: c for v, c in coeffs.items() if c}
-        self.const = const
-        self.mults = mults
-
-    def normalized(self) -> "_Row":
-        values = list(self.coeffs.values()) + ([self.const] if self.const else [])
-        if not values:
-            return self
-        g = math.gcd(*(abs(v.numerator) for v in values))
-        l = math.lcm(*(v.denominator for v in values))
-        content = Fraction(g, l)
-        if content == 1:
-            return self
-        return _Row(
-            {v: c / content for v, c in self.coeffs.items()},
-            self.const / content,
-            [m / content for m in self.mults],
-        )
-
-    def key(self) -> tuple:
-        return (tuple(sorted(self.coeffs.items())), self.const)
+# The eliminator works on primitive integer rows `coeffs . x + const >= 0`,
+# `coeffs` a sparse {symbol index: nonzero int}.  A row is the tuple
+# (coeffs, const, key, rid); `rid` indexes the provenance list, where the m
+# input rows come first.  provenance[j] for an input row is the factor c_j > 0
+# with row = c_j * ge_form[j]; for a derived row it is (pos, neg, lam_pos,
+# lam_neg, g) with row = (lam_pos * pos + lam_neg * neg) / g.
 
 
-def _combine(pos: _Row, neg: _Row, var: str) -> _Row:
-    """Nonnegative combination of a positive- and a negative-coefficient row
-    that eliminates `var`."""
-    a, b = pos.coeffs[var], neg.coeffs[var]
-    lam_p, lam_n = -b, a  # both positive
-    coeffs: dict[str, Fraction] = {}
-    for v, c in pos.coeffs.items():
-        coeffs[v] = c * lam_p
-    for v, c in neg.coeffs.items():
-        coeffs[v] = coeffs.get(v, Fraction(0)) + c * lam_n
-    coeffs.pop(var, None)
-    const = pos.const * lam_p + neg.const * lam_n
-    mults = [mp * lam_p + mn * lam_n for mp, mn in zip(pos.mults, neg.mults)]
-    return _Row(coeffs, const, mults).normalized()
+def _integer_row(form: LinearForm, index: Mapping[str, int]) -> tuple[dict[int, int], int, Fraction]:
+    """The primitive integer row c * form over the symbol index, and c > 0."""
+    values = [*form.coeffs.values(), form.const]
+    lcm = math.lcm(*(q.denominator for q in values))
+    g = math.gcd(*(q.numerator * (lcm // q.denominator) for q in values)) or 1
+
+    def scaled(q: Fraction) -> int:
+        return q.numerator * (lcm // q.denominator) // g
+
+    coeffs = {index[v]: scaled(c) for v, c in form.coeffs.items()}
+    return coeffs, scaled(form.const), Fraction(lcm, g)
+
+
+def _row_key(coeffs: dict[int, int], const: int) -> tuple:
+    return frozenset(coeffs.items()), const
+
+
+def _farkas_multipliers(bad: int, provenance: list, m: int) -> list[Fraction]:
+    """The multipliers that combine the m input forms into row `bad`.
+
+    Walks the ancestry of `bad` in reverse creation order, so each derived
+    row hands its finished weight to its parents exactly once."""
+    ancestors: set[int] = set()
+    stack = [bad]
+    while stack:
+        rid = stack.pop()
+        if rid not in ancestors:
+            ancestors.add(rid)
+            if rid >= m:
+                stack.extend(provenance[rid][:2])
+    weight = dict.fromkeys(ancestors, Fraction(0))
+    weight[bad] = Fraction(1)
+    mults = [Fraction(0)] * m
+    for rid in sorted(ancestors, reverse=True):
+        w = weight[rid]
+        if rid < m:
+            mults[rid] = w * provenance[rid]
+        else:
+            pos, neg, lam_pos, lam_neg, g = provenance[rid]
+            weight[pos] += w * lam_pos / g
+            weight[neg] += w * lam_neg / g
+    return mults
+
+
+def _back_substitute(stages: list[tuple[int, list[tuple]]], names: Sequence[str]) -> dict[str, Fraction]:
+    """A point of the input system, from the last eliminated variable back.
+
+    Each variable gets a value between the bounds -rest/a its stage rows put
+    on it (scaling a row leaves the bound unchanged).  A variable that drops
+    out of the system without being eliminated (one-sided rows,
+    cancellations) is left unconstrained by later stages and stays zero."""
+    point = [Fraction(0)] * len(names)
+    for var, stage_rows in reversed(stages):
+        lower: Fraction | None = None
+        upper: Fraction | None = None
+        for coeffs, const, _, _ in stage_rows:
+            a = coeffs.get(var)
+            if a is None:
+                continue
+            rest = const
+            for v, c in coeffs.items():
+                if v != var and point[v]:
+                    rest += c * point[v]
+            bound = Fraction(-rest, a)
+            if a > 0:
+                lower = bound if lower is None else max(lower, bound)
+            else:
+                upper = bound if upper is None else min(upper, bound)
+        if lower is not None and upper is not None:
+            assert lower <= upper
+            point[var] = (lower + upper) / 2
+        elif lower is not None:
+            point[var] = lower
+        elif upper is not None:
+            point[var] = upper
+    return dict(zip(names, point))
 
 
 def lp_feasible(constraints: Sequence[Constraint]) -> LpOutcome:
     """Decide exact feasibility of linear GE/EQ constraints.
+
+    Fourier-Motzkin elimination on primitive integer rows: each stage
+    eliminates the variable with the fewest positive x negative row pairs
+    (ties to the first in `var_key` order) and drops duplicate rows.
 
     This is the one gate for solver evidence: feasible outcomes carry a
     witness point re-checked against every input constraint, infeasible
@@ -404,99 +452,79 @@ def lp_feasible(constraints: Sequence[Constraint]) -> LpOutcome:
             ge_system.append(Constraint(-c.form, GE))
 
     m = len(ge_system)
-    rows: list[_Row] = []
-    for j, c in enumerate(ge_system):
-        mults = [Fraction(0)] * m
-        mults[j] = Fraction(1)
-        rows.append(_Row(c.form.coeffs, c.form.const, mults))
+    names = sorted({v for c in ge_system for v in c.form.variables}, key=lambda v: (var_key(v), v))
+    index = {v: i for i, v in enumerate(names)}
 
-    def finish_infeasible(bad: _Row) -> LpOutcome:
-        scale = -bad.const  # positive; rescale so the combination is exactly -1
-        certificate = tuple(mult / scale for mult in bad.mults)
+    def finish_infeasible(bad: int) -> LpOutcome:
+        # The contradictory row is primitive, so it reads exactly 0 >= 1.
+        certificate = tuple(_farkas_multipliers(bad, provenance, m))
         if not check_certificate(ge_system, certificate):
             raise EvidenceRejected("Farkas certificate does not combine to 0 >= 1")
         return LpOutcome(INFEASIBLE, None, certificate, tuple(ge_system))
 
-    def split_constants(pending: list[_Row]) -> tuple[list[_Row], _Row | None]:
-        kept: list[_Row] = []
-        for r in pending:
-            if r.coeffs:
-                kept.append(r)
-            elif r.const < 0:
-                return kept, r
-        return kept, None
+    provenance: list = []
+    rows: list[tuple] = []
+    for j, c in enumerate(ge_system):
+        coeffs, const, scale = _integer_row(c.form, index)
+        provenance.append(scale)
+        if not coeffs:
+            if const < 0:
+                return finish_infeasible(j)
+            continue
+        # Duplicates are judged on the raw input terms: an input row that had
+        # to be scaled never equals a derived (primitive) row.
+        rows.append((coeffs, const, _row_key(coeffs, const) if scale == 1 else None, j))
 
-    rows, bad = split_constants(rows)
-    if bad is not None:
-        return finish_infeasible(bad)
-
-    stages: list[tuple[str, list[_Row]]] = []
-    while True:
-        live = sorted({v for r in rows for v in r.coeffs}, key=var_key)
-        if not live:
-            break
-
-        def cost(v: str) -> int:
-            p = sum(1 for r in rows if r.coeffs.get(v, 0) > 0)
-            n = sum(1 for r in rows if r.coeffs.get(v, 0) < 0)
-            return p * n
-
-        var = min(live, key=lambda v: (cost(v), var_key(v)))
+    stages: list[tuple[int, list[tuple]]] = []
+    while rows:
+        pos_count = [0] * len(names)
+        neg_count = [0] * len(names)
+        for coeffs, _, _, _ in rows:
+            for v, c in coeffs.items():
+                if c > 0:
+                    pos_count[v] += 1
+                else:
+                    neg_count[v] += 1
+        _, var = min((p * n, v) for v, (p, n) in enumerate(zip(pos_count, neg_count)) if p or n)
         stages.append((var, rows))
-        pos = [r for r in rows if r.coeffs.get(var, 0) > 0]
-        neg = [r for r in rows if r.coeffs.get(var, 0) < 0]
-        nxt = [r for r in rows if var not in r.coeffs]
-        seen = {r.key() for r in nxt}
-        for p_row in pos:
-            for n_row in neg:
-                candidate = _combine(p_row, n_row, var)
-                if not candidate.coeffs:
-                    if candidate.const < 0:
-                        return finish_infeasible(candidate)
+
+        pos: list[tuple] = []
+        neg: list[tuple] = []
+        nxt: list[tuple] = []
+        for row in rows:
+            a = row[0].get(var)
+            (nxt if a is None else pos if a > 0 else neg).append(row)
+        seen = {row[2] for row in nxt}
+        for p_coeffs, p_const, _, p_rid in pos:
+            lam_neg = p_coeffs[var]
+            for n_coeffs, n_const, _, n_rid in neg:
+                lam_pos = -n_coeffs[var]
+                coeffs = {v: c * lam_pos for v, c in p_coeffs.items() if v != var}
+                for v, c in n_coeffs.items():
+                    if v != var:
+                        total = coeffs.get(v, 0) + c * lam_neg
+                        if total:
+                            coeffs[v] = total
+                        else:
+                            del coeffs[v]
+                const = p_const * lam_pos + n_const * lam_neg
+                if not coeffs:
+                    if const < 0:
+                        provenance.append((p_rid, n_rid, lam_pos, lam_neg, -const))
+                        return finish_infeasible(len(provenance) - 1)
                     continue  # trivially true, drop
-                if candidate.key() not in seen:
-                    seen.add(candidate.key())
-                    nxt.append(candidate)
-        rows, bad = split_constants(nxt)
-        if bad is not None:
-            return finish_infeasible(bad)
+                g = math.gcd(*coeffs.values(), const)
+                if g > 1:
+                    coeffs = {v: c // g for v, c in coeffs.items()}
+                    const //= g
+                key = _row_key(coeffs, const)
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append((coeffs, const, key, len(provenance)))
+                    provenance.append((p_rid, n_rid, lam_pos, lam_neg, g))
+        rows = nxt
 
-    witness: dict[str, Fraction] = {}
-    for var, stage_rows in reversed(stages):
-        # A variable can drop out of the system without being eliminated
-        # (one-sided rows, cancellations); later-stage systems then leave it
-        # unconstrained and zero is a valid choice.
-        for r in stage_rows:
-            for v in r.coeffs:
-                if v != var:
-                    witness.setdefault(v, Fraction(0))
-        lower: Fraction | None = None
-        upper: Fraction | None = None
-        for r in stage_rows:
-            a = r.coeffs.get(var)
-            if not a:
-                continue
-            rest = r.const + sum(
-                (c * witness[v] for v, c in r.coeffs.items() if v != var), Fraction(0)
-            )
-            bound = -rest / a
-            if a > 0:
-                lower = bound if lower is None else max(lower, bound)
-            else:
-                upper = bound if upper is None else min(upper, bound)
-        if lower is not None and upper is not None:
-            assert lower <= upper
-            witness[var] = (lower + upper) / 2
-        elif lower is not None:
-            witness[var] = lower
-        elif upper is not None:
-            witness[var] = upper
-        else:
-            witness[var] = Fraction(0)
-
-    for c in constraints:
-        for v in c.form.variables:
-            witness.setdefault(v, Fraction(0))
+    witness = _back_substitute(stages, names)
     if not check_witness(constraints, witness):
         raise EvidenceRejected("witness point violates a constraint")
     return LpOutcome(FEASIBLE, witness, None, tuple(ge_system))

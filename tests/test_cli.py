@@ -162,22 +162,50 @@ import sys
 import blowdown.ratmath as ratmath
 from blowdown.cli import main
 
-honest_combine = ratmath._combine
+honest_multipliers = ratmath._farkas_multipliers
 
-def corrupted_combine(pos, neg, var):
-    row = honest_combine(pos, neg, var)
-    row.mults[0] += 1
-    return row
+def corrupted_multipliers(*args):
+    mults = honest_multipliers(*args)
+    mults[0] += 1
+    return mults
 
-ratmath._combine = corrupted_combine
+ratmath._farkas_multipliers = corrupted_multipliers
 sys.exit(main(["report", "main1"]))
 """
+
+# The witness of the sliced cone system satisfies 3a - (b1 + ... + bn) = 1,
+# so moving `a` alone breaks that equality.
+CORRUPT_WITNESS_COORDINATE = """
+import sys
+import blowdown.ratmath as ratmath
+from blowdown.cli import main
+
+honest_back_substitute = ratmath._back_substitute
+
+def corrupted_back_substitute(*args):
+    point = honest_back_substitute(*args)
+    point["a"] += 1
+    return point
+
+ratmath._back_substitute = corrupted_back_substitute
+sys.exit(main(["verify", sys.argv[1]]))
+"""
+
+
+def assert_one_verification_failure(proc) -> None:
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("verification failure: "), proc.stderr
 
 
 class TestEvidenceGate:
     def test_corrupted_certificate_is_rejected_under_optimize(self):
-        proc = run_optimized("-c", CORRUPT_FIRST_MULTIPLIER)
-        assert proc.returncode == 1, proc.stdout + proc.stderr
-        assert proc.stdout == ""
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("verification failure: "), proc.stderr
+        assert_one_verification_failure(run_optimized("-c", CORRUPT_FIRST_MULTIPLIER))
+
+    def test_corrupted_witness_is_rejected_under_optimize(self, tmp_path):
+        path = tmp_path / "flat.scenario"
+        path.write_text(
+            "n = 5\np = 2\nclass u1 = [1, -1, -1, -1, -1, -1]\n", encoding="utf-8"
+        )
+        assert_one_verification_failure(run_optimized("-c", CORRUPT_WITNESS_COORDINATE, str(path)))
