@@ -322,6 +322,8 @@ def combine_certificate(ge_system: Sequence[Constraint], multipliers: Sequence[S
     const = Fraction(0)
     for constraint, m in zip(ge_system, multipliers):
         q = _frac(m)
+        if not q:
+            continue
         for v, c in constraint.form.coeffs.items():
             acc[v] = acc.get(v, 0) + c * q
         const += constraint.form.const * q
@@ -455,6 +457,9 @@ def lp_feasible(constraints: Sequence[Constraint]) -> LpOutcome:
     names = sorted({v for c in ge_system for v in c.form.variables}, key=lambda v: (var_key(v), v))
     index = {v: i for i, v in enumerate(names)}
 
+    provenance: list = []
+    rows: list[tuple] = []
+
     def finish_infeasible(bad: int) -> LpOutcome:
         # The contradictory row is primitive, so it reads exactly 0 >= 1.
         certificate = tuple(_farkas_multipliers(bad, provenance, m))
@@ -462,8 +467,6 @@ def lp_feasible(constraints: Sequence[Constraint]) -> LpOutcome:
             raise EvidenceRejected("Farkas certificate does not combine to 0 >= 1")
         return LpOutcome(INFEASIBLE, None, certificate, tuple(ge_system))
 
-    provenance: list = []
-    rows: list[tuple] = []
     for j, c in enumerate(ge_system):
         coeffs, const, scale = _integer_row(c.form, index)
         provenance.append(scale)
