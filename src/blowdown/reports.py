@@ -345,6 +345,13 @@ _LINE_PATTERNS = {
 }
 
 
+def _parse_int(text: str, line: int) -> int:
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"integer of {len(text)} digits is too long", line) from None
+
+
 def _parse_vector(text: str, line: int) -> tuple[int, ...]:
     match = _VEC.match(text)
     if not match:
@@ -369,22 +376,35 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
     assume = False
     justification = ""
     builtin: str | None = None
+    first_seen: dict[str, int] = {}
+
+    def once(directive: str, lineno: int) -> None:
+        if directive in first_seen:
+            raise ParseError(f"repeated directive {directive} (first on line {first_seen[directive]})", lineno)
+        first_seen[directive] = lineno
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if (m := _LINE_PATTERNS["builtin"].match(line)) is not None:
+            once("builtin", lineno)
             builtin = m.group(1)
         elif (m := _LINE_PATTERNS["n"].match(line)) is not None:
-            n = int(m.group(1))
+            once("n", lineno)
+            n = _parse_int(m.group(1), lineno)
         elif (m := _LINE_PATTERNS["p"].match(line)) is not None:
-            p = int(m.group(1))
+            once("p", lineno)
+            p = _parse_int(m.group(1), lineno)
         elif (m := _LINE_PATTERNS["class"].match(line)) is not None:
-            classes[int(m.group(1))] = _parse_vector(m.group(2), lineno)
+            index = _parse_int(m.group(1), lineno)
+            once(f"class u{index}", lineno)
+            classes[index] = _parse_vector(m.group(2), lineno)
         elif (m := _LINE_PATTERNS["canonical"].match(line)) is not None:
+            once("canonical", lineno)
             canonical = _parse_vector(m.group(1), lineno)
         elif (m := _LINE_PATTERNS["assume"].match(line)) is not None:
+            once("assume", lineno)
             assume = m.group(1) == "true"
             justification = m.group(2) or ""
         else:

@@ -4,7 +4,10 @@ import io
 import json
 from fractions import Fraction
 
+import pytest
 from conftest import run_optimized
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from blowdown.cli import main
 from blowdown.ratmath import Matrix
@@ -155,6 +158,74 @@ class TestVerifyCommand:
         assert code == 0
         assert "NOT_POSITIVE" in out
         assert "counterexample point" in out
+
+
+VALID_FLAT = [
+    "n = 5",
+    "p = 2",
+    "class u1 = [1, -1, -1, -1, -1, -1]",
+    "canonical = [-3, 1, 1, 1, 1, 1]",
+    'assume simply_connected = true "by hand"',
+]
+
+
+class TestRepeatedDirective:
+    @pytest.mark.parametrize(
+        "lines, repeat",
+        [
+            (VALID_FLAT, "n = 7"),
+            (VALID_FLAT, "p = 3"),
+            (VALID_FLAT, "class u1 = [1, -1, -1, -1, -1, -1]"),
+            (VALID_FLAT, "canonical = [-3, 1, 1, 1, 1, 1]"),
+            (VALID_FLAT, "assume simply_connected = false"),
+            (["builtin = C7-main"], "builtin = C5-main"),
+        ],
+        ids=["n", "p", "class", "canonical", "assume", "builtin"],
+    )
+    def test_repeat_is_input_error_naming_both_lines(self, tmp_path, lines, repeat):
+        directive = repeat.split("=")[0].strip()
+        first = next(i for i, line in enumerate(lines, 1) if line.startswith(directive))
+        path = tmp_path / "twice.scenario"
+        path.write_text("\n".join(lines + ["# again", repeat]) + "\n", encoding="utf-8")
+        code, out, err = run_cli("verify", str(path))
+        assert (code, out) == (2, "")
+        again = len(lines) + 2
+        assert err.startswith(f"input error: line {again}: repeated directive "), err
+        assert f"(first on line {first})" in err and err.count("\n") == 1, err
+
+
+def integers(lo: int, hi: int):
+    """Small integers, or one with more digits than int() converts by default."""
+    return st.one_of(st.integers(lo, hi).map(str), st.just("9" * 5000))
+
+
+def vectors():
+    return st.lists(st.integers(-3, 3), max_size=8).map(lambda v: ", ".join(map(str, v)))
+
+
+SCENARIO_LINES = st.one_of(
+    st.sampled_from(VALID_FLAT + ["builtin = C7-main", "builtin = nope", "# comment", ""]),
+    st.builds("n = {}".format, integers(-2, 8)),
+    st.builds("p = {}".format, integers(-1, 5)),
+    st.builds("class u{} = [{}]".format, integers(0, 5), vectors()),
+    st.builds("canonical = [{}]".format, vectors()),
+    st.text(max_size=30),
+)
+
+
+class TestArbitraryScenarioText:
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.lists(SCENARIO_LINES, max_size=8).map("\n".join))
+    def test_ends_in_an_exit_code_and_at_most_one_line(self, tmp_path, text):
+        path = tmp_path / "arbitrary.scenario"
+        path.write_text(text, encoding="utf-8")
+        code, _, err = run_cli("verify", str(path))
+        assert code in (0, 1, 2)
+        assert err.count("\n") <= 1 and (err == "") == (code == 0), err
 
 
 CORRUPT_FIRST_MULTIPLIER = """

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import chain_classes_c5, chain_classes_c7, random_cone_point
 
 from blowdown.cone import (
@@ -292,6 +294,44 @@ class TestCertifyPositive:
             assert certify_positive(form, symplectic_cone(n)).is_positive
             for _ in range(500):
                 assert form.evaluate(random_cone_point(rng, n)) > 0
+
+
+def positive_by_extreme_rays(partial_sums: list[Fraction]) -> bool:
+    """f > 0 on the cone a >= b_1 >= ... >= b_n >= 0, 3a - sum(b) > 0, decided
+    on its extreme rays r_k (a = b_1 = ... = b_k = 1, the rest 0), k = 0..n.
+
+    `partial_sums[k]` is F_k = f(r_k), and the strict form is S_k = 3 - k on
+    r_k.  The slice 3a - sum(b) = 1 is the polyhedron with vertices r_j / S_j
+    (S_j > 0) and recession rays r_k (S_k = 0) and |S_k| r_j + S_j r_k
+    (S_j > 0 > S_k); f is positive on it iff f > 0 at every vertex and
+    f >= 0 along every recession ray."""
+    strict = [3 - k for k in range(len(partial_sums))]
+    tops = [j for j, s in enumerate(strict) if s > 0]
+    for k, (F, s) in enumerate(zip(partial_sums, strict)):
+        if (s > 0 and F <= 0) or (s == 0 and F < 0):
+            return False
+        if s < 0 and any(-s * partial_sums[j] + strict[j] * F < 0 for j in tops):
+            return False
+    return True
+
+
+small_rationals = st.builds(
+    Fraction, st.integers(-3, 8), st.sampled_from([1, 1, 2, 3, 7])
+)
+
+
+class TestCertifyPositiveOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(small_rationals, min_size=2, max_size=13))
+    def test_verdict_matches_extreme_rays(self, partial_sums):
+        """Forms are drawn by their values F_k on the rays, so boundary
+        cases (F_k = 0, ties between rays) come up often."""
+        n = len(partial_sums) - 1
+        coeffs = {"a": partial_sums[0]}
+        for k in range(1, n + 1):
+            coeffs[f"b{k}"] = partial_sums[k] - partial_sums[k - 1]
+        result = certify_positive(LinearForm(coeffs), symplectic_cone(n))
+        assert result.is_positive == positive_by_extreme_rays(partial_sums)
 
 
 class TestSymbolAudit:
