@@ -175,6 +175,21 @@ class TestLpFeasible:
         assert not outcome.feasible
         assert check_certificate(outcome.ge_system, outcome.certificate)
 
+    def test_scaled_input_row_is_never_a_duplicate(self):
+        """Input rows that had to be scaled to primitive integer rows
+        (3x + 3z + 3, -2x + 2z, 3y + 3z) never match a derived row as duplicates;
+        dropping such a match changes the elimination and gives x = -2."""
+        rows = [
+            ({"x": 3, "z": 3}, 3),
+            ({"x": -2, "z": 2}, 0),
+            ({"y": -1, "z": -1}, 1),
+            ({"y": 3, "z": 3}, 0),
+            ({"x": -1, "y": 1}, -1),
+            ({"y": -1}, -1),
+        ]
+        outcome = lp_feasible([Constraint(LinearForm(c, k), GE) for c, k in rows])
+        assert outcome.witness == {"x": Fraction(-9, 4), "y": Fraction(-1), "z": Fraction(3, 2)}
+
     def _random_system(self, rng: random.Random) -> list[Constraint]:
         names = ["x1", "x2", "x3", "x4"][: rng.randint(1, 4)]
         constraints = []
