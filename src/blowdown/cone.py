@@ -23,6 +23,7 @@ from blowdown.ratmath import (
     Constraint,
     LinearForm,
     LpOutcome,
+    linear_combination,
     lp_feasible,
 )
 
@@ -153,22 +154,25 @@ def restrict(x: HomologyClass | SymplecticClass, config: Configuration) -> DualC
     return DualCoords(config, tuple(Fraction(x.dot(u)) for u in us))
 
 
+def _is_symbolic(x: DualCoords) -> bool:
+    return any(isinstance(c, LinearForm) and not c.is_constant() for c in x.coords)
+
+
 def pair_dual(x: DualCoords, y: DualCoords) -> LinearForm:
     """x^T Q y expanded over the symbols (Q being the configuration's dual
-    intersection form).  Raises ValueError when both sides are symbolic,
+    intersection form).  Q is symmetric, so the scalar side s contracts to
+    the weights Q s and the result is one linear combination of the other
+    side's coordinates.  Raises ValueError when both sides are symbolic,
     since the product would be quadratic."""
     if x.config != y.config:
         raise ConfigMismatch("dual coordinates belong to different configurations")
-    Q = x.config.Q
-    total = LinearForm()
-    for i, xi in enumerate(x.coords):
-        if xi.is_zero() if isinstance(xi, LinearForm) else xi == 0:
-            continue
-        for j, yj in enumerate(y.coords):
-            q = Q[i, j]
-            if q:
-                total = total + (xi * q) * yj
-    return total
+    x_symbolic = _is_symbolic(x)
+    if x_symbolic and _is_symbolic(y):
+        raise ValueError("product of two non-constant linear forms is not linear")
+    scalar, other = (y, x) if x_symbolic else (x, y)
+    s = [c.const if isinstance(c, LinearForm) else c for c in scalar.coords]
+    weights = (sum(q * si for q, si in zip(row, s) if si) for row in scalar.config.Q.rows)
+    return linear_combination(zip(weights, other.coords))
 
 
 def blowdown_pairing(K: HomologyClass, config: Configuration) -> LinearForm:

@@ -68,10 +68,6 @@ class PlumbingGraph:
         return len(seen) == n
 
     @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.vertices)
-
-    @property
     def weights(self) -> tuple[int, ...]:
         return tuple(w for _, w in self.vertices)
 

@@ -161,29 +161,15 @@ class LinearForm:
 
     __slots__ = ("_terms", "_const")
 
-    def __init__(
-        self,
-        coeffs: Mapping[str, Scalar] | Iterable[tuple[str, Scalar]] = (),
-        const: Scalar = 0,
-    ):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        acc: dict[str, Fraction] = {}
-        for name, c in items:
-            q = _frac(c)
-            if q or name in acc:
-                acc[name] = acc.get(name, Fraction(0)) + q
+    def __init__(self, coeffs: Mapping[str, Scalar] = {}, const: Scalar = 0):
         self._terms = tuple(
-            sorted(((v, c) for v, c in acc.items() if c), key=lambda t: var_key(t[0]))
+            sorted(((v, _frac(c)) for v, c in coeffs.items() if c), key=lambda t: var_key(t[0]))
         )
         self._const = _frac(const)
 
     @classmethod
-    def variable(cls, name: str, coeff: Scalar = 1) -> "LinearForm":
-        return cls({name: coeff})
-
-    @classmethod
     def constant(cls, value: Scalar) -> "LinearForm":
-        return cls((), value)
+        return cls({}, value)
 
     @property
     def coeffs(self) -> dict[str, Fraction]:
@@ -196,12 +182,6 @@ class LinearForm:
     @property
     def variables(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self._terms)
-
-    def coefficient(self, name: str) -> Fraction:
-        for v, c in self._terms:
-            if v == name:
-                return c
-        return Fraction(0)
 
     def is_homogeneous(self) -> bool:
         return self._const == 0
@@ -216,23 +196,15 @@ class LinearForm:
         return sum((c * _frac(point[v]) for v, c in self._terms), self._const)
 
     def __add__(self, other: "LinearForm | Scalar") -> "LinearForm":
-        if not isinstance(other, LinearForm):
-            return LinearForm(self._terms, self._const + _frac(other))
-        acc = dict(self._terms)
-        for v, c in other._terms:
-            acc[v] = acc.get(v, Fraction(0)) + c
-        return LinearForm(acc, self._const + other._const)
+        return linear_combination(((1, self), (1, other)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "LinearForm":
-        return LinearForm({v: -c for v, c in self._terms}, -self._const)
+        return linear_combination(((-1, self),))
 
     def __sub__(self, other: "LinearForm | Scalar") -> "LinearForm":
-        return self + (-other if isinstance(other, LinearForm) else -_frac(other))
-
-    def __rsub__(self, other: Scalar) -> "LinearForm":
-        return (-self) + _frac(other)
+        return linear_combination(((1, self), (-1, other)))
 
     def __mul__(self, other: "LinearForm | Scalar") -> "LinearForm":
         if isinstance(other, LinearForm):
@@ -241,8 +213,7 @@ class LinearForm:
             if self.is_constant():
                 return other * self._const
             raise ValueError("product of two non-constant linear forms is not linear")
-        q = _frac(other)
-        return LinearForm({v: c * q for v, c in self._terms}, self._const * q)
+        return linear_combination(((other, self),))
 
     __rmul__ = __mul__
 
@@ -275,6 +246,24 @@ class LinearForm:
             else:
                 parts.append(f"+ {mag}" if self._const > 0 else f"- {mag}")
         return " ".join(parts)
+
+
+def linear_combination(terms: Iterable[tuple[Scalar, "LinearForm | Scalar"]]) -> LinearForm:
+    """sum(weight * item) over (weight, item) pairs, each item a LinearForm or
+    a scalar.  Zero weights are skipped; the terms are accumulated in one
+    dict and the result is built once.  Every sum of forms goes through here."""
+    acc: dict[str, Fraction] = {}
+    const = Fraction(0)
+    for weight, item in terms:
+        if not weight:
+            continue
+        if isinstance(item, LinearForm):
+            for v, c in item._terms:
+                acc[v] = acc.get(v, 0) + weight * c
+            const += weight * item._const
+        else:
+            const += weight * item
+    return LinearForm(acc, const)
 
 
 @dataclass(frozen=True)
@@ -318,16 +307,7 @@ class LpOutcome:
 
 def combine_certificate(ge_system: Sequence[Constraint], multipliers: Sequence[Scalar]) -> LinearForm:
     """Expand the nonnegative combination sum(multiplier * form) exactly."""
-    acc: dict[str, Fraction] = {}
-    const = Fraction(0)
-    for constraint, m in zip(ge_system, multipliers):
-        q = _frac(m)
-        if not q:
-            continue
-        for v, c in constraint.form.coeffs.items():
-            acc[v] = acc.get(v, 0) + c * q
-        const += constraint.form.const * q
-    return LinearForm(acc, const)
+    return linear_combination(zip(multipliers, (c.form for c in ge_system)))
 
 
 def check_certificate(ge_system: Sequence[Constraint], multipliers: Sequence[Scalar]) -> bool:

@@ -411,7 +411,7 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
             raise ParseError(f"unrecognized directive {line!r}", lineno)
 
     if builtin is not None:
-        if n is not None or p is not None or classes or canonical is not None:
+        if len(first_seen) > 1:
             raise ParseError("a builtin reference cannot be combined with other directives")
         return builtin_scenario(builtin)
 

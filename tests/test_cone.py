@@ -11,6 +11,7 @@ from conftest import chain_classes_c5, chain_classes_c7, random_cone_point
 from blowdown.cone import (
     ConeSystem,
     ConfigMismatch,
+    DualCoords,
     MissingEmbedding,
     MultipleStrict,
     NotHomogeneous,
@@ -29,6 +30,11 @@ from blowdown.ratmath import LinearForm, check_certificate
 
 def scaled(scale: Fraction, coeffs: dict[str, int]) -> LinearForm:
     return LinearForm({v: scale * c for v, c in coeffs.items()})
+
+
+small_rationals = st.builds(
+    Fraction, st.integers(-3, 8), st.sampled_from([1, 1, 2, 3, 7])
+)
 
 
 C7_RESTRICTED_PAIRING = scaled(
@@ -157,6 +163,51 @@ class TestRestrict:
             restrict(Ambient(13).canonical_class(), make_cp(7))
 
 
+scalar_coords = st.one_of(small_rationals, small_rationals.map(LinearForm.constant))
+symbolic_coords = st.one_of(
+    scalar_coords,
+    st.builds(
+        LinearForm,
+        st.dictionaries(st.sampled_from(["a", "b1", "b2", "b10"]), small_rationals, max_size=4),
+        small_rationals,
+    ),
+)
+
+
+@st.composite
+def dual_coordinate_pairs(draw):
+    """(p, left, right): p - 1 coordinates a side, at most one side symbolic."""
+    p = draw(st.integers(2, 9))
+    symbolic = draw(st.sampled_from(["left", "right", "neither"]))
+    sides = [
+        draw(st.lists(symbolic_coords if symbolic == side else scalar_coords, min_size=p - 1, max_size=p - 1))
+        for side in ("left", "right")
+    ]
+    return p, *sides
+
+
+def double_sum(x, Q, y) -> tuple[dict, Fraction]:
+    """sum_ij x_i Q_ij y_j term by term in Fractions, for at most one
+    symbolic side (so no quadratic term arises)."""
+
+    def split(c):
+        return (c.coeffs, c.const) if isinstance(c, LinearForm) else ({}, Fraction(c))
+
+    coeffs: dict[str, Fraction] = {}
+    const = Fraction(0)
+    for i, xi in enumerate(x):
+        x_terms, x_const = split(xi)
+        for j, yj in enumerate(y):
+            y_terms, y_const = split(yj)
+            q = Q[i][j]
+            const += x_const * q * y_const
+            for v, c in x_terms.items():
+                coeffs[v] = coeffs.get(v, 0) + c * q * y_const
+            for v, c in y_terms.items():
+                coeffs[v] = coeffs.get(v, 0) + x_const * q * c
+    return {v: c for v, c in coeffs.items() if c}, const
+
+
 class TestPairDual:
     def test_c7_restricted_pairing(self):
         cfg = embedded_c7()
@@ -187,6 +238,31 @@ class TestPairDual:
         w = restrict(symplectic_class(13), cfg)
         with pytest.raises(ValueError, match="not linear"):
             pair_dual(w, w)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dual_coordinate_pairs())
+    def test_matches_double_sum(self, drawn):
+        """Either side symbolic, or neither, against sum_ij x_i Q_ij y_j."""
+        p, left, right = drawn
+        cfg = make_cp(p)
+        got = pair_dual(DualCoords(cfg, left), DualCoords(cfg, right))
+        assert (got.coeffs, got.const) == double_sum(left, cfg.Q.rows, right)
+
+    @pytest.mark.parametrize("scalar_left", [True, False], ids=["K-first", "omega-first"])
+    def test_builds_one_form(self, monkeypatch, scalar_left):
+        cfg = embedded_c7()
+        k = restrict(Ambient(13).canonical_class(), cfg)
+        w = restrict(symplectic_class(13), cfg)
+        built = []
+        real = LinearForm.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(LinearForm, "__init__", counted)
+        pair_dual(k, w) if scalar_left else pair_dual(w, k)
+        assert len(built) == 1
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_dual_basis_consistency(self, p):
@@ -313,11 +389,6 @@ def positive_by_extreme_rays(partial_sums: list[Fraction]) -> bool:
         if s < 0 and any(-s * partial_sums[j] + strict[j] * F < 0 for j in tops):
             return False
     return True
-
-
-small_rationals = st.builds(
-    Fraction, st.integers(-3, 8), st.sampled_from([1, 1, 2, 3, 7])
-)
 
 
 class TestCertifyPositiveOracle:

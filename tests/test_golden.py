@@ -6,7 +6,9 @@ no switch that rewrites them.
 """
 
 import difflib
+import hashlib
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from conftest import run_optimized
 from blowdown.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+PAPER_CLI_DIGESTS = Path(__file__).parent.parent / "bench" / "paper_cli_digests.json"
 
 # golden file name -> CLI argv; "{name}" is a scenario file in GOLDEN_DIR
 GOLDEN = {
@@ -76,3 +79,20 @@ def test_optimized_interpreter_matches_golden():
         proc = run_optimized("-m", "blowdown.cli", *golden_argv(name))
         assert (proc.returncode, proc.stderr) == (0, ""), name
         assert_matches_golden(name, proc.stdout)
+
+
+def test_paper_cli_digests_match_golden():
+    """The benchmark's paper-cli ops check their stdout against committed
+    SHA-256 digests; each must be the digest of the golden file for the
+    same command (a label is the argv with the scenario file named bare)."""
+    digests = json.loads(PAPER_CLI_DIGESTS.read_text(encoding="utf-8"))
+    by_label = {
+        " ".join(arg.strip("{}").removesuffix(".scenario") for arg in argv): name
+        for name, argv in GOLDEN.items()
+    }
+    assert digests and set(digests) <= set(by_label)
+    actual = {
+        label: hashlib.sha256((GOLDEN_DIR / by_label[label]).read_bytes()).hexdigest()
+        for label in digests
+    }
+    assert actual == digests

@@ -19,6 +19,7 @@ from blowdown.ratmath import (
     check_certificate,
     check_witness,
     combine_certificate,
+    linear_combination,
     lp_feasible,
 )
 
@@ -122,6 +123,27 @@ class TestLinearForm:
     def test_evaluate(self):
         f = LinearForm({"x": 2, "y": -3}, 5)
         assert f.evaluate({"x": Fraction(1, 2), "y": 1}) == 3
+
+
+class TestLinearCombination:
+    def test_zero_weight_is_skipped(self):
+        f = LinearForm({"x": 1}, 2)
+        g = LinearForm({"y": 5})
+        assert linear_combination([(0, g), (2, f), (Fraction(0), g)]) == LinearForm({"x": 2}, 4)
+
+    def test_scalar_items(self):
+        f = LinearForm({"x": 1})
+        combo = linear_combination([(2, Fraction(1, 3)), (Fraction(1, 2), f), (-1, 5)])
+        assert combo == LinearForm({"x": Fraction(1, 2)}, Fraction(-13, 3))
+
+    def test_cancelling_term_is_dropped(self):
+        combo = linear_combination([(1, LinearForm({"x": 1, "y": 2})), (-1, LinearForm({"x": 1}, 3))])
+        assert combo.variables == ("y",)
+        assert combo == LinearForm({"y": 2}, -3)
+
+    def test_empty_input_is_zero(self):
+        assert linear_combination([]) == LinearForm()
+        assert linear_combination([]).is_zero()
 
 
 class TestLpFeasible:

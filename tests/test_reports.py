@@ -71,6 +71,14 @@ class TestScenarioParsing:
         with pytest.raises(ParseError):
             parse_scenario_text("builtin = C7-main\nn = 13\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["builtin = C7-main\nassume simply_connected = false\n", "assume simply_connected = false\nbuiltin = C7-main\n"],
+    )
+    def test_builtin_mixed_with_assume(self, text):
+        with pytest.raises(ParseError, match="builtin reference cannot be combined"):
+            parse_scenario_text(text)
+
     def test_unknown_directive_has_line_number(self):
         with pytest.raises(ParseError) as info:
             parse_scenario_text("n = 5\nwhat = 3\n")
