@@ -50,9 +50,7 @@ from blowdown.plumbing import (
 from blowdown.ratmath import (
     Constraint,
     LinearForm,
-    LpOutcome,
     Matrix,
-    lp_feasible,
 )
 from blowdown.reports import (
     Report,
@@ -77,7 +75,6 @@ __all__ = [
     "E6TildeFiber",
     "HomologyClass",
     "LinearForm",
-    "LpOutcome",
     "ManifoldInvariants",
     "Matrix",
     "PlumbingGraph",
@@ -97,7 +94,6 @@ __all__ = [
     "is_characteristic",
     "kotschick_bound",
     "light_cone_sign",
-    "lp_feasible",
     "make_cp",
     "make_e6_tilde",
     "pair",

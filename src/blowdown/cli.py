@@ -7,7 +7,7 @@ Subcommands:
                                       run the pipeline on a scenario file
 
 Exit codes: 0 success, 1 verification failure (embedding mismatch, rejected
-solver evidence, or a reference-value mismatch under --expect-paper),
+positivity evidence, or a reference-value mismatch under --expect-paper),
 2 input error.
 """
 

@@ -5,26 +5,28 @@ a*h - (b_1*e_1 + ... + b_n*e_n); the admissible region is the cone
 a >= b_1 >= ... >= b_n >= 0 with 3a > b_1 + ... + b_n.  Restriction to a
 chain configuration expands a class against the dual basis g_1..g_{p-1}
 (the basis with <g_i, u_j> = delta_ij), pairings go through the dual form
-Q = P^-1, and positivity of a homogeneous form over the cone is decided by
-exact linear programming with a Farkas certificate.
+Q = P^-1, and positivity of a homogeneous form over the cone is decided in
+closed form on the cone's extreme rays, with a Farkas certificate or a
+counterexample point as evidence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Union
 
 from blowdown.lattice import AmbientMismatch, HomologyClass
 from blowdown.plumbing import Configuration
 from blowdown.ratmath import (
     EQ,
-    GE,
     Constraint,
+    EvidenceRejected,
     LinearForm,
-    LpOutcome,
+    check_certificate,
+    check_witness,
     linear_combination,
-    lp_feasible,
 )
 
 POSITIVE = "positive"
@@ -41,10 +43,6 @@ class ConfigMismatch(ValueError):
 
 class NotHomogeneous(ValueError):
     """Cone machinery only accepts homogeneous linear forms."""
-
-
-class MultipleStrict(ValueError):
-    """Positivity certification expects exactly one strict constraint."""
 
 
 def symbols(n: int) -> tuple[str, ...]:
@@ -87,20 +85,26 @@ def symplectic_class(n: int) -> SymplecticClass:
 
 @dataclass(frozen=True)
 class ConeSystem:
-    """Homogeneous inequalities: `nonstrict` required >= 0, `strict` > 0."""
+    """The admissible cone of the n-fold blow-up: `nonstrict` holds
+    g_0 = a - b1, g_k = b_k - b_{k+1} and g_n = b_n, each required >= 0, and
+    `strict` the one form 3a - (b_1 + ... + b_n), required > 0.  It is built
+    from n alone, because `certify_positive` decides positivity in closed
+    form on this cone and on no other."""
 
     n: int
-    nonstrict: tuple[LinearForm, ...]
-    strict: tuple[LinearForm, ...]
+    nonstrict: tuple[LinearForm, ...] = field(init=False, repr=False, compare=False)
+    strict: tuple[LinearForm, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        universe = set(symbols(self.n))
-        for form in self.nonstrict + self.strict:
-            if not form.is_homogeneous():
-                raise NotHomogeneous(f"cone constraint {form} has a constant term")
-            stray = set(form.variables) - universe
-            if stray:
-                raise ValueError(f"cone constraint uses unknown symbols {sorted(stray)}")
+        n = self.n
+        if n < 1:
+            raise ValueError("symplectic cone needs n >= 1")
+        chain = [LinearForm({"a": 1, "b1": -1})]
+        chain += [LinearForm({f"b{i}": 1, f"b{i + 1}": -1}) for i in range(1, n)]
+        chain += [LinearForm({f"b{n}": 1})]
+        total = LinearForm({"a": 3, **{f"b{i}": -1 for i in range(1, n + 1)}})
+        object.__setattr__(self, "nonstrict", tuple(chain))
+        object.__setattr__(self, "strict", (total,))
 
     def contains(self, point: dict[str, Fraction]) -> bool:
         """Exact membership: all nonstrict >= 0 and all strict > 0."""
@@ -112,13 +116,7 @@ class ConeSystem:
 def symplectic_cone(n: int) -> ConeSystem:
     """The admissible coefficient region a >= b_1 >= ... >= b_n >= 0,
     3a > b_1 + ... + b_n."""
-    if n < 1:
-        raise ValueError("symplectic cone needs n >= 1")
-    chain = [LinearForm({"a": 1, "b1": -1})]
-    chain += [LinearForm({f"b{i}": 1, f"b{i + 1}": -1}) for i in range(1, n)]
-    chain += [LinearForm({f"b{n}": 1})]
-    total = LinearForm({"a": 3, **{f"b{i}": -1 for i in range(1, n + 1)}})
-    return ConeSystem(n, tuple(chain), (total,))
+    return ConeSystem(n)
 
 
 Coord = Union[Fraction, LinearForm]
@@ -188,13 +186,22 @@ def blowdown_pairing(K: HomologyClass, config: Configuration) -> LinearForm:
 
 
 @dataclass(frozen=True)
+class FarkasCertificate:
+    """Nonnegative multipliers `certificate`, one per row of `ge_system`
+    (each row reads `form >= 0`), that combine the rows into 0 >= 1."""
+
+    ge_system: tuple[Constraint, ...]
+    certificate: tuple[Fraction, ...]
+
+
+@dataclass(frozen=True)
 class PositivityResult:
-    """Verdict on `f > 0 over the cone`, with evidence re-verified by
-    `lp_feasible`: a Farkas certificate when positive, a rational
-    counterexample point otherwise."""
+    """Verdict on `f > 0 over the cone`, with evidence that passed its
+    re-check in `certify_positive`: a Farkas certificate when positive, a
+    rational counterexample point otherwise."""
 
     verdict: str
-    certificate: LpOutcome | None
+    certificate: FarkasCertificate | None
     witness: dict[str, Fraction] | None
 
     @property
@@ -202,37 +209,89 @@ class PositivityResult:
         return self.verdict == POSITIVE
 
 
-def certify_positive(f: LinearForm, cone: ConeSystem) -> PositivityResult:
-    """Decide whether f(x) > 0 for every x with nonstrict >= 0 and strict > 0.
+# On the admissible cone a form f is known by F_k = f(r_k), its values on the
+# extreme rays r_k (a = b_1 = ... = b_k = 1, the rest 0), and the strict form
+# s = 3a - sum(b) has S_k = 3 - k there.  The slice s = 1 is the polyhedron
+# with vertices r_k / S_k (k <= min(2, n)) and recession rays
+# |S_k| r_j + S_j r_k (j <= min(2, n), k >= 3; for k = 3 a multiple of r_3).
 
-    The strict constraint s is homogeneous, so s > 0 may be sliced to s = 1:
-    the system {nonstrict >= 0, s = 1, f <= 0} is infeasible exactly when f
-    is positive on the whole cone.  The evidence is re-verified once, by
-    `lp_feasible`; a witness of the sliced system satisfies s = 1 and
-    -f >= 0, and the symbols padded with zeros appear in no constraint, so
-    it is a cone point where f <= 0.
+
+def _counterexample(F: list[Fraction], names: tuple[str, ...]) -> dict[str, Fraction] | None:
+    """A point of the slice s = 1 where f <= 0, over every symbol, or None
+    when f is positive on the slice (F_k > 0 at every vertex and f >= 0
+    along every recession ray).
+
+    The point is the first failing vertex r_k / S_k.  When every vertex
+    passes, let j be the first vertex where f is least on the slice (the
+    one that sets nu in `_multipliers`); a ray |S_k| r_j' + S_j' r_k fails
+    for some j' only if it fails for j.  The point then lies on the ray
+    (j, k) with the first failing k: (F_k r_j - F_j r_k) / (S_j F_k - S_k F_j),
+    where the line through r_j and r_k meets both s = 1 and f = 0."""
+    tops = range(min(2, len(F) - 1) + 1)
+    for k in tops:
+        if F[k] <= 0:
+            return _on_rays({k: Fraction(1, 3 - k)}, names)
+    j = max(tops, key=lambda k: Fraction(3 - k) / F[k])
+    for k in range(3, len(F)):
+        ray = (3 - j) * F[k] - (3 - k) * F[j]  # f on |S_k| r_j + S_j r_k
+        if ray < 0:
+            return _on_rays({j: F[k] / ray, k: -F[j] / ray}, names)
+    return None
+
+
+def _on_rays(weights: dict[int, Fraction], names: tuple[str, ...]) -> dict[str, Fraction]:
+    """The point sum t_k r_k over every symbol: coordinate i sums the t_k
+    with k >= i."""
+    point = dict.fromkeys(names, Fraction(0))
+    for k, t in weights.items():
+        for name in names[: k + 1]:
+            point[name] += t
+    return point
+
+
+def _multipliers(F: list[Fraction]) -> list[Fraction]:
+    """The Farkas multipliers of a positive f on the rows g_0..g_n, s - 1,
+    1 - s, -f: nu = max S_k / F_k over the vertices, lambda_k = nu F_k - S_k
+    on g_k, then 1, 0 and nu.  The g_k are dual to the r_k, so
+    sum lambda_k g_k = nu f - s and the rows combine to -1."""
+    nu = max(Fraction(3 - k) / F[k] for k in range(min(2, len(F) - 1) + 1))
+    return [nu * Fk - (3 - k) for k, Fk in enumerate(F)] + [Fraction(1), Fraction(0), nu]
+
+
+def certify_positive(f: LinearForm, cone: ConeSystem) -> PositivityResult:
+    """Decide whether f(x) > 0 on the admissible cone, in closed form.
+
+    The cone is simplicial: its nonstrict forms g_k are dual to its extreme
+    rays r_k, so f is decided by F_k = f(r_k), the prefix sums of its
+    coefficients in the order (a, b1, ..., bn).  The strict form s is
+    homogeneous, so s > 0 may be sliced to s = 1, and f is positive exactly
+    when {g_k >= 0, s = 1, f <= 0} is infeasible.
+
+    POSITIVE comes with the Farkas certificate of `_multipliers` on the rows
+    g_0..g_n, s - 1, 1 - s, -f.  NOT_POSITIVE comes with the witness of
+    `_counterexample`, zero-padded to every symbol: the first failing vertex
+    r_k / S_k, or else the point of the first failing recession ray where
+    f = 0.  The evidence is re-checked once, here, also under `python -O`;
+    a failed check raises EvidenceRejected.
     """
     if not f.is_homogeneous():
         raise NotHomogeneous(f"form {f} has a constant term")
-    if len(cone.strict) != 1:
-        raise MultipleStrict(
-            f"expected exactly one strict constraint, got {len(cone.strict)}"
-        )
-    universe = set(symbols(cone.n))
-    stray = set(f.variables) - universe
+    names = symbols(cone.n)
+    coeffs = f.coeffs
+    stray = set(coeffs).difference(names)
     if stray:
         raise ValueError(f"form uses symbols {sorted(stray)} outside the cone's universe")
 
+    F = list(accumulate(coeffs.get(v, Fraction(0)) for v in names))
     s = cone.strict[0]
-    system = [Constraint(g, GE) for g in cone.nonstrict]
-    system.append(Constraint(s - 1, EQ))
-    system.append(Constraint(-f, GE))
-    outcome = lp_feasible(system)
-
-    if not outcome.feasible:
-        return PositivityResult(POSITIVE, outcome, None)
-
-    witness = dict(outcome.witness)
-    for name in symbols(cone.n):
-        witness.setdefault(name, Fraction(0))
-    return PositivityResult(NOT_POSITIVE, None, witness)
+    point = _counterexample(F, names)
+    if point is None:
+        ge_system = tuple(Constraint(g) for g in (*cone.nonstrict, s - 1, -(s - 1), -f))
+        multipliers = tuple(_multipliers(F))
+        if not check_certificate(ge_system, multipliers):
+            raise EvidenceRejected("Farkas certificate does not combine to 0 >= 1")
+        return PositivityResult(POSITIVE, FarkasCertificate(ge_system, multipliers), None)
+    sliced = [Constraint(g) for g in cone.nonstrict] + [Constraint(s - 1, EQ), Constraint(-f)]
+    if not check_witness(sliced, point):
+        raise EvidenceRejected("witness point violates a constraint")
+    return PositivityResult(NOT_POSITIVE, None, point)

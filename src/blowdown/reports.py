@@ -41,7 +41,7 @@ from blowdown.invariants import (
 )
 from blowdown.lattice import Ambient, HomologyClass, blow_up, standard_classes
 from blowdown.plumbing import Configuration, make_cp, make_e6_tilde
-from blowdown.ratmath import EvidenceRejected, LinearForm, Matrix, column_layout
+from blowdown.ratmath import EvidenceRejected, LinearForm, Matrix, column_layout, var_key
 
 COMPUTED = "computed"
 ASSUMED = "assumed"
@@ -233,7 +233,7 @@ def _form_json(form: LinearForm | Fraction) -> dict:
 
 
 def _positivity_json(result: PositivityResult) -> dict:
-    # No report exists without the evidence gate in lp_feasible passing.
+    # No report exists without the evidence gate in certify_positive passing.
     out: dict = {"verdict": result.verdict, "reverified": True}
     if result.certificate is not None:
         cert = result.certificate
@@ -243,7 +243,7 @@ def _positivity_json(result: PositivityResult) -> dict:
             "combination_constant": "-1",
         }
     if result.witness is not None:
-        out["witness"] = {v: str(result.witness[v]) for v in sorted(result.witness)}
+        out["witness"] = {v: str(result.witness[v]) for v in sorted(result.witness, key=var_key)}
     return out
 
 
@@ -602,9 +602,9 @@ def _chain_conclusions(
 def run_pipeline(scenario: Scenario) -> Report:
     """embedding check -> restrict -> pair_dual -> blow-down pairing ->
     certify_positive -> invariant bookkeeping.  Embedding failure raises
-    EmbeddingFailed naming the first mismatched Gram entry, rejected solver
-    evidence raises EvidenceRejected; a NotPositive verdict is reported, not
-    raised."""
+    EmbeddingFailed naming the first mismatched Gram entry, rejected
+    positivity evidence raises EvidenceRejected; a NotPositive verdict is
+    reported, not raised."""
     ambient = Ambient(scenario.n)
     classes = tuple(ambient.clazz(v) for v in scenario.classes)
     K = ambient.clazz(scenario.canonical)

@@ -14,6 +14,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from conftest import chain_classes_c5, chain_classes_c7, random_cone_point
+from fm_oracle import lp_feasible
 
 from blowdown.cli import main as cli_main
 from blowdown.cone import (
@@ -43,7 +44,6 @@ from blowdown.ratmath import (
     Matrix,
     check_certificate,
     check_witness,
-    lp_feasible,
 )
 from blowdown.reports import run_main1, run_main2, run_main3
 

@@ -1,7 +1,7 @@
 """The benchmark harness still runs against the package: it calls public
 names (`P.det()`, `P.is_negative_definite()`, `Q.rows`, `pair_dual`,
-`LpOutcome.certificate`, `.ge_system`) that a rename would otherwise break
-only in a full benchmark run."""
+`FarkasCertificate.certificate`, `.ge_system`) that a rename would
+otherwise break only in a full benchmark run."""
 
 import json
 import subprocess

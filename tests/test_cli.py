@@ -230,17 +230,17 @@ class TestArbitraryScenarioText:
 
 CORRUPT_FIRST_MULTIPLIER = """
 import sys
-import blowdown.ratmath as ratmath
+import blowdown.cone as cone
 from blowdown.cli import main
 
-honest_multipliers = ratmath._farkas_multipliers
+honest_multipliers = cone._multipliers
 
 def corrupted_multipliers(*args):
     mults = honest_multipliers(*args)
     mults[0] += 1
     return mults
 
-ratmath._farkas_multipliers = corrupted_multipliers
+cone._multipliers = corrupted_multipliers
 sys.exit(main(["report", "main1"]))
 """
 
@@ -248,17 +248,17 @@ sys.exit(main(["report", "main1"]))
 # so moving `a` alone breaks that equality.
 CORRUPT_WITNESS_COORDINATE = """
 import sys
-import blowdown.ratmath as ratmath
+import blowdown.cone as cone
 from blowdown.cli import main
 
-honest_back_substitute = ratmath._back_substitute
+honest_counterexample = cone._counterexample
 
-def corrupted_back_substitute(*args):
-    point = honest_back_substitute(*args)
+def corrupted_counterexample(*args):
+    point = honest_counterexample(*args)
     point["a"] += 1
     return point
 
-ratmath._back_substitute = corrupted_back_substitute
+cone._counterexample = corrupted_counterexample
 sys.exit(main(["verify", sys.argv[1]]))
 """
 

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import chain_classes_c5, chain_classes_c7, random_cone_point
+from fm_oracle import lp_feasible
 
 from blowdown.cone import (
-    ConeSystem,
     ConfigMismatch,
     DualCoords,
     MissingEmbedding,
-    MultipleStrict,
     NotHomogeneous,
     blowdown_pairing,
     certify_positive,
@@ -25,7 +24,7 @@ from blowdown.cone import (
 )
 from blowdown.lattice import Ambient, pair
 from blowdown.plumbing import make_cp
-from blowdown.ratmath import LinearForm, check_certificate
+from blowdown.ratmath import EQ, Constraint, LinearForm, check_certificate
 
 
 def scaled(scale: Fraction, coeffs: dict[str, int]) -> LinearForm:
@@ -114,10 +113,6 @@ class TestSymplecticCone:
         outside = dict(inside)
         outside["b1"] = Fraction(4)  # violates a - b1 >= 0
         assert not cone.contains(outside)
-
-    def test_forms_must_be_homogeneous(self):
-        with pytest.raises(NotHomogeneous):
-            ConeSystem(2, (LinearForm({"a": 1}, 1),), ())
 
     def test_random_points_are_members(self):
         rng = random.Random(5)
@@ -354,12 +349,6 @@ class TestCertifyPositive:
         with pytest.raises(NotHomogeneous):
             certify_positive(LinearForm({"a": 1}, 1), symplectic_cone(3))
 
-    def test_multiple_strict(self):
-        cone = symplectic_cone(3)
-        doubled = ConeSystem(3, cone.nonstrict, cone.strict + cone.strict)
-        with pytest.raises(MultipleStrict):
-            certify_positive(LinearForm({"a": 1}), doubled)
-
     def test_stray_symbols_rejected(self):
         with pytest.raises(ValueError):
             certify_positive(LinearForm({"z": 1}), symplectic_cone(3))
@@ -391,6 +380,29 @@ def positive_by_extreme_rays(partial_sums: list[Fraction]) -> bool:
     return True
 
 
+def form_with_ray_values(partial_sums: list[Fraction]) -> LinearForm:
+    """The form f on (a, b1, ..., bn) with f(r_k) = partial_sums[k]."""
+    coeffs = {"a": partial_sums[0]}
+    for k in range(1, len(partial_sums)):
+        coeffs[f"b{k}"] = partial_sums[k] - partial_sums[k - 1]
+    return LinearForm(coeffs)
+
+
+positive_rationals = st.builds(Fraction, st.integers(1, 8), st.sampled_from([1, 2, 3, 7]))
+
+
+@st.composite
+def ray_values(draw):
+    """F_0..F_n for n = 1..12.  Half the time the vertex values F_0..F_2 are
+    positive, so that the recession rays (F_3 < 0, or F_k < 0 with k > 3)
+    decide the verdict."""
+    n = draw(st.integers(1, 12))
+    top = positive_rationals if draw(st.booleans()) else small_rationals
+    head = draw(st.lists(top, min_size=min(3, n + 1), max_size=min(3, n + 1)))
+    tail = draw(st.lists(small_rationals, min_size=n + 1 - len(head), max_size=n + 1 - len(head)))
+    return head + tail
+
+
 class TestCertifyPositiveOracle:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(small_rationals, min_size=2, max_size=13))
@@ -398,11 +410,47 @@ class TestCertifyPositiveOracle:
         """Forms are drawn by their values F_k on the rays, so boundary
         cases (F_k = 0, ties between rays) come up often."""
         n = len(partial_sums) - 1
-        coeffs = {"a": partial_sums[0]}
-        for k in range(1, n + 1):
-            coeffs[f"b{k}"] = partial_sums[k] - partial_sums[k - 1]
-        result = certify_positive(LinearForm(coeffs), symplectic_cone(n))
+        result = certify_positive(form_with_ray_values(partial_sums), symplectic_cone(n))
         assert result.is_positive == positive_by_extreme_rays(partial_sums)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ray_values())
+    def test_matches_fourier_motzkin(self, partial_sums):
+        """The closed form against Fourier-Motzkin on the sliced system
+        {g_k >= 0, s = 1, f <= 0}: the same verdict, a certificate over the
+        same directed rows that passes `check_certificate`, and a witness in
+        the cone where f <= 0."""
+        n = len(partial_sums) - 1
+        f = form_with_ray_values(partial_sums)
+        cone = symplectic_cone(n)
+        result = certify_positive(f, cone)
+        sliced = [Constraint(g) for g in cone.nonstrict]
+        sliced += [Constraint(cone.strict[0] - 1, EQ), Constraint(-f)]
+        oracle = lp_feasible(sliced)
+        assert result.is_positive == (not oracle.feasible)
+        if result.is_positive:
+            cert = result.certificate
+            assert len(cert.certificate) == n + 4
+            assert cert.ge_system == oracle.ge_system
+            assert check_certificate(cert.ge_system, cert.certificate)
+        else:
+            assert cone.contains(result.witness)
+            assert f.evaluate(result.witness) <= 0
+
+    @pytest.mark.parametrize(
+        "partial_sums, witness",
+        [
+            ([1, 1, 0], [1, 1, 1]),  # vertex r_2 / 1
+            ([1, 2, 3, -1], ["2/3", "1/3", "1/3", "1/3"]),  # ray r_3 from r_0 / 3
+            ([3, 1, 1, 0, -1], [2, 2, 1, 1, 1]),  # ray r_1 + 2 r_4 from r_1 / 2, nu set at j = 1
+        ],
+        ids=["vertex", "ray-r3", "ray-k4"],
+    )
+    def test_witness_branches(self, partial_sums, witness):
+        n = len(partial_sums) - 1
+        result = certify_positive(form_with_ray_values(partial_sums), symplectic_cone(n))
+        assert not result.is_positive
+        assert result.witness == dict(zip(symbols(n), map(Fraction, witness)))
 
 
 class TestSymbolAudit:

