@@ -14,6 +14,7 @@ positivity evidence, or a reference-value mismatch under --expect-paper),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -34,7 +35,10 @@ from blowdown.reports import (
 _CHAINS = {"main1": run_main1, "main2": run_main2, "main3": run_main3}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused: parsing
+    leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="blowdown",
         description="Exact rational blow-down computations: plumbing forms, "

@@ -24,6 +24,7 @@ from blowdown.ratmath import (
     Constraint,
     EvidenceRejected,
     LinearForm,
+    _form,
     check_certificate,
     check_witness,
     linear_combination,
@@ -99,10 +100,11 @@ class ConeSystem:
         n = self.n
         if n < 1:
             raise ValueError("symplectic cone needs n >= 1")
-        chain = [LinearForm({"a": 1, "b1": -1})]
-        chain += [LinearForm({f"b{i}": 1, f"b{i + 1}": -1}) for i in range(1, n)]
-        chain += [LinearForm({f"b{n}": 1})]
-        total = LinearForm({"a": 3, **{f"b{i}": -1 for i in range(1, n + 1)}})
+        # Integer forms with terms already in var_key order and no common factor.
+        names = symbols(n)
+        chain = [_form(((x, 1), (y, -1)), 0, 1) for x, y in zip(names, names[1:])]
+        chain.append(_form(((names[-1], 1),), 0, 1))
+        total = _form((("a", 3), *((b, -1) for b in names[1:])), 0, 1)
         object.__setattr__(self, "nonstrict", tuple(chain))
         object.__setattr__(self, "strict", (total,))
 
@@ -277,12 +279,12 @@ def certify_positive(f: LinearForm, cone: ConeSystem) -> PositivityResult:
     if not f.is_homogeneous():
         raise NotHomogeneous(f"form {f} has a constant term")
     names = symbols(cone.n)
-    coeffs = f.coeffs
-    stray = set(coeffs).difference(names)
+    nums = f.numerators
+    stray = set(nums).difference(names)
     if stray:
         raise ValueError(f"form uses symbols {sorted(stray)} outside the cone's universe")
 
-    F = list(accumulate(coeffs.get(v, Fraction(0)) for v in names))
+    F = [Fraction(t, f.denominator) for t in accumulate(nums.get(v, 0) for v in names)]
     s = cone.strict[0]
     point = _counterexample(F, names)
     if point is None:

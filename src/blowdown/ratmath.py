@@ -1,7 +1,9 @@
 """Exact rational linear algebra, linear forms and the evidence checkers.
 
-Scalars are `fractions.Fraction` throughout; nothing in this package ever
-rounds.  A positivity verdict comes with checkable evidence: a Farkas
+Scalars are `fractions.Fraction` (or `int`) and nothing in this package
+ever rounds.  A `LinearForm` is held as integer numerators over one common
+denominator, so sums of forms are integer arithmetic, and it gives its
+coefficients back as Fractions.  A positivity verdict comes with checkable evidence: a Farkas
 certificate (nonnegative multipliers combining `>= 0` constraints into the
 impossible relation `0 >= positive`) or a rational witness point.
 `check_certificate` and `check_witness` re-verify either by exact
@@ -10,6 +12,7 @@ re-expansion.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,8 +36,10 @@ def _frac(x: Scalar) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+@functools.cache
 def var_key(name: str) -> tuple[str, int]:
-    """Sort key that orders 'b2' before 'b10' (alpha prefix, numeric suffix)."""
+    """Sort key that orders 'b2' before 'b10' (alpha prefix, numeric suffix).
+    Memoized: the names are a, b1..bn and a few others."""
     i = len(name)
     while i > 0 and name[i - 1].isdigit():
         i -= 1
@@ -148,17 +153,19 @@ def column_layout(cells: Sequence[Sequence[str]]) -> list[str]:
 class LinearForm:
     """Immutable linear form over named variables with rational coefficients.
 
-    Zero coefficients are dropped; terms are kept in natural variable order,
-    so equal forms compare and hash equal.
+    A form is held as integers: the numerators of its nonzero terms in
+    natural variable order, a constant numerator, and one positive common
+    denominator sharing no factor with all of them.  That is canonical, so
+    equal forms compare and hash equal.  `coeffs` and `const` give the
+    terms back as Fractions.
     """
 
-    __slots__ = ("_terms", "_const")
+    __slots__ = ("_terms", "_cnum", "_den")
 
-    def __init__(self, coeffs: Mapping[str, Scalar] = {}, const: Scalar = 0):
-        self._terms = tuple(
-            sorted(((v, _frac(c)) for v, c in coeffs.items() if c), key=lambda t: var_key(t[0]))
-        )
-        self._const = _frac(const)
+    def __new__(cls, coeffs: Mapping[str, Scalar] = {}, const: Scalar = 0) -> "LinearForm":
+        den = math.lcm(const.denominator, *(c.denominator for c in coeffs.values()))
+        nums = {v: c.numerator * (den // c.denominator) for v, c in coeffs.items()}
+        return _reduced(nums, const.numerator * (den // const.denominator), den)
 
     @classmethod
     def constant(cls, value: Scalar) -> "LinearForm":
@@ -166,27 +173,48 @@ class LinearForm:
 
     @property
     def coeffs(self) -> dict[str, Fraction]:
-        return dict(self._terms)
+        return {v: Fraction(c, self._den) for v, c in self._terms}
 
     @property
     def const(self) -> Fraction:
-        return self._const
+        return Fraction(self._cnum, self._den)
+
+    @property
+    def numerators(self) -> dict[str, int]:
+        """The coefficients times `denominator`, as integers."""
+        return dict(self._terms)
+
+    @property
+    def denominator(self) -> int:
+        return self._den
 
     @property
     def variables(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self._terms)
 
     def is_homogeneous(self) -> bool:
-        return self._const == 0
+        return self._cnum == 0
 
     def is_constant(self) -> bool:
         return not self._terms
 
     def is_zero(self) -> bool:
-        return not self._terms and self._const == 0
+        return not self._terms and self._cnum == 0
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
-        return sum((c * _frac(point[v]) for v, c in self._terms), self._const)
+        """The exact value at the point, whose coordinates are looked up
+        (KeyError if one is missing) and skipped when zero; the integer sum
+        is brought to a common denominator and divided once."""
+        num, den = self._cnum, 1
+        for v, c in self._terms:
+            x = point[v]
+            if x:
+                if x.denominator != den:
+                    lcm = math.lcm(den, x.denominator)
+                    num *= lcm // den
+                    den = lcm
+                num += c * x.numerator * (den // x.denominator)
+        return Fraction(num, den * self._den)
 
     def __add__(self, other: "LinearForm | Scalar") -> "LinearForm":
         return linear_combination(((1, self), (1, other)))
@@ -194,7 +222,7 @@ class LinearForm:
     __radd__ = __add__
 
     def __neg__(self) -> "LinearForm":
-        return linear_combination(((-1, self),))
+        return _form(tuple((v, -c) for v, c in self._terms), -self._cnum, self._den)
 
     def __sub__(self, other: "LinearForm | Scalar") -> "LinearForm":
         return linear_combination(((1, self), (-1, other)))
@@ -202,9 +230,9 @@ class LinearForm:
     def __mul__(self, other: "LinearForm | Scalar") -> "LinearForm":
         if isinstance(other, LinearForm):
             if other.is_constant():
-                return self * other._const
+                return self * other.const
             if self.is_constant():
-                return other * self._const
+                return other * self.const
             raise ValueError("product of two non-constant linear forms is not linear")
         return linear_combination(((other, self),))
 
@@ -214,49 +242,87 @@ class LinearForm:
         return (
             isinstance(other, LinearForm)
             and self._terms == other._terms
-            and self._const == other._const
+            and self._cnum == other._cnum
+            and self._den == other._den
         )
 
     def __hash__(self) -> int:
-        return hash((self._terms, self._const))
+        return hash((self._terms, self._cnum, self._den))
 
     def __repr__(self) -> str:
         return f"LinearForm({self})"
 
     def __str__(self) -> str:
+        den = self._den
         parts: list[str] = []
         for v, c in self._terms:
-            mag = abs(c)
-            term = v if mag == 1 else f"{mag}*{v}"
+            term = v if abs(c) == den else f"{_ratio(abs(c), den)}*{v}"
             if not parts:
                 parts.append(term if c > 0 else f"-{term}")
             else:
                 parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        if self._const or not parts:
-            mag = abs(self._const)
+        cnum = self._cnum
+        if cnum or not parts:
+            mag = _ratio(abs(cnum), den)
             if not parts:
-                parts.append(str(self._const))
+                parts.append(mag if cnum >= 0 else f"-{mag}")
             else:
-                parts.append(f"+ {mag}" if self._const > 0 else f"- {mag}")
+                parts.append(f"+ {mag}" if cnum > 0 else f"- {mag}")
         return " ".join(parts)
+
+
+def _ratio(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for num >= 0 and den > 0."""
+    g = math.gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
+
+
+def _form(terms: tuple[tuple[str, int], ...], cnum: int, den: int) -> LinearForm:
+    """Every LinearForm is built here, from integer data that is already in
+    lowest terms and in var_key order."""
+    form = object.__new__(LinearForm)
+    form._terms = terms
+    form._cnum = cnum
+    form._den = den
+    return form
+
+
+def _reduced(nums: dict[str, int], cnum: int, den: int) -> LinearForm:
+    """The form sum(nums[v] * v) + cnum over den > 0: zero terms dropped,
+    the rest sorted by var_key, and the gcd of den and every numerator
+    divided out."""
+    terms = [(v, nums[v]) for v in sorted(nums, key=var_key) if nums[v]]
+    if den > 1:
+        g = math.gcd(den, cnum, *(c for _, c in terms))
+        if g > 1:
+            terms = [(v, c // g) for v, c in terms]
+            cnum //= g
+            den //= g
+    return _form(tuple(terms), cnum, den)
 
 
 def linear_combination(terms: Iterable[tuple[Scalar, "LinearForm | Scalar"]]) -> LinearForm:
     """sum(weight * item) over (weight, item) pairs, each item a LinearForm or
-    a scalar.  Zero weights are skipped; the terms are accumulated in one
-    dict and the result is built once.  Every sum of forms goes through here."""
-    acc: dict[str, Fraction] = {}
-    const = Fraction(0)
+    a scalar.  Zero weights are skipped.  Every pair is brought to the least
+    common denominator, the integer numerators are added in one dict, and
+    the result is reduced once.  Every sum of forms goes through here."""
+    parts = []
     for weight, item in terms:
-        if not weight:
-            continue
+        if weight:
+            item_den = item._den if isinstance(item, LinearForm) else item.denominator
+            parts.append((weight.numerator, weight.denominator * item_den, item))
+    den = math.lcm(*(d for _, d, _ in parts))
+    acc: dict[str, int] = {}
+    cnum = 0
+    for wnum, d, item in parts:
+        scale = wnum * (den // d)
         if isinstance(item, LinearForm):
             for v, c in item._terms:
-                acc[v] = acc.get(v, 0) + weight * c
-            const += weight * item._const
+                acc[v] = acc.get(v, 0) + scale * c
+            cnum += scale * item._cnum
         else:
-            const += weight * item
-    return LinearForm(acc, const)
+            cnum += scale * item.numerator
+    return _reduced(acc, cnum, den)
 
 
 @dataclass(frozen=True)
@@ -288,7 +354,7 @@ def check_certificate(ge_system: Sequence[Constraint], multipliers: Sequence[Sca
     into a constant negative form (the contradiction `0 >= positive`)."""
     if len(ge_system) != len(multipliers):
         return False
-    if any(_frac(m) < 0 for m in multipliers):
+    if any(m < 0 for m in multipliers):
         return False
     combo = combine_certificate(ge_system, multipliers)
     return combo.is_constant() and combo.const < 0
