@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from conftest import run_optimized
 
-from blowdown.cli import main
+from blowdown.cli import build_parser, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 PAPER_CLI_DIGESTS = Path(__file__).parent.parent / "bench" / "paper_cli_digests.json"
@@ -71,6 +71,31 @@ def test_cli_output_matches_golden(name):
     code = main(golden_argv(name), out=out, err=err)
     assert (code, err.getvalue()) == (0, "")
     assert_matches_golden(name, out.getvalue())
+
+
+def test_one_process_runs_calls_in_sequence(capsys):
+    """The parser is built once per process and reused; a call that fails
+    in argparse or in the input leaves nothing behind for the next one."""
+    parser = build_parser()
+    out, err = io.StringIO(), io.StringIO()
+    assert main(golden_argv("report-main1.txt"), out=out, err=err) == 0
+    assert_matches_golden("report-main1.txt", out.getvalue())
+
+    with pytest.raises(SystemExit) as exc:
+        main(["plumbing", "--p", "seven", "--json"], out=io.StringIO(), err=io.StringIO())
+    assert exc.value.code == 2
+    assert "invalid int value: 'seven'" in capsys.readouterr().err
+
+    err = io.StringIO()
+    assert main(["verify", str(GOLDEN_DIR / "missing.scenario")], out=io.StringIO(), err=err) == 2
+    assert err.getvalue().startswith("input error: cannot read ")
+
+    for name in ("verify-C7-main.json", "report-main1.txt"):
+        out, err = io.StringIO(), io.StringIO()
+        assert main(golden_argv(name), out=out, err=err) == 0
+        assert err.getvalue() == ""
+        assert_matches_golden(name, out.getvalue())
+    assert build_parser() is parser
 
 
 def test_optimized_interpreter_matches_golden():

@@ -22,6 +22,7 @@ from blowdown.ratmath import (
     check_witness,
     combine_certificate,
     linear_combination,
+    var_key,
 )
 
 rationals = st.fractions(max_denominator=50)
@@ -145,6 +146,89 @@ class TestLinearCombination:
     def test_empty_input_is_zero(self):
         assert linear_combination([]) == LinearForm()
         assert linear_combination([]).is_zero()
+
+
+NAMES = ["a", *(f"b{i}" for i in range(1, 13)), "x", "y"]
+small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+coefficient_maps = st.dictionaries(st.sampled_from(NAMES), small_fractions, max_size=6)
+forms = st.builds(LinearForm, coefficient_maps, small_fractions)
+
+
+def reference_combination(pairs) -> tuple[dict[str, Fraction], Fraction]:
+    """sum(weight * item) term by term in Fractions, zero terms dropped."""
+    acc: dict[str, Fraction] = {}
+    const = Fraction(0)
+    for weight, item in pairs:
+        if isinstance(item, LinearForm):
+            for v, c in item.coeffs.items():
+                acc[v] = acc.get(v, Fraction(0)) + weight * c
+            const += weight * item.const
+        else:
+            const += weight * item
+    return {v: c for v, c in acc.items() if c}, const
+
+
+def reference_str(coeffs: dict[str, Fraction], const: Fraction) -> str:
+    """The renderer LinearForm used while it held one Fraction per term."""
+    parts: list[str] = []
+    for v, c in sorted(coeffs.items(), key=lambda t: var_key(t[0])):
+        mag = abs(c)
+        term = v if mag == 1 else f"{mag}*{v}"
+        if not parts:
+            parts.append(term if c > 0 else f"-{term}")
+        else:
+            parts.append(f"+ {term}" if c > 0 else f"- {term}")
+    if const or not parts:
+        mag = abs(const)
+        if not parts:
+            parts.append(str(const))
+        else:
+            parts.append(f"+ {mag}" if const > 0 else f"- {mag}")
+    return " ".join(parts)
+
+
+class TestIntegerCore:
+    """The integer representation against term-by-term Fraction arithmetic."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(small_fractions, st.one_of(forms, small_fractions)), max_size=6))
+    def test_linear_combination_matches_fractions(self, pairs):
+        got = linear_combination(pairs)
+        coeffs, const = reference_combination(pairs)
+        assert got.coeffs == coeffs and got.const == const
+        assert got.variables == tuple(sorted(coeffs, key=var_key))
+
+    @settings(max_examples=200, deadline=None)
+    @given(coefficient_maps, small_fractions, st.integers(0, 6), small_fractions.filter(bool))
+    def test_equal_forms_by_any_route_are_equal(self, coeffs, const, cut, scale):
+        """Built whole, as a sum of two parts, as a scalar multiple and by
+        double negation: one canonical representation, one hash."""
+        whole = LinearForm(coeffs, const)
+        items = list(coeffs.items())
+        summed = LinearForm(dict(items[:cut]), const) + LinearForm(dict(items[cut:]))
+        scaled = LinearForm({v: c / scale for v, c in items}, const / scale) * scale
+        routes = [whole, summed, scaled, -(-whole), whole + whole - whole]
+        assert all(form == whole for form in routes)
+        assert {hash(form) for form in routes} == {hash(whole)}
+
+    @settings(max_examples=200, deadline=None)
+    @given(forms, st.dictionaries(st.sampled_from(NAMES), st.one_of(st.just(0), small_fractions)))
+    def test_evaluate_matches_fractions(self, form, values):
+        point = {v: values.get(v, Fraction(0)) for v in form.variables}
+        expected = sum((c * point[v] for v, c in form.coeffs.items()), form.const)
+        value = form.evaluate(point)
+        assert isinstance(value, Fraction) and value == expected
+        if form.variables:
+            del point[form.variables[-1]]
+            with pytest.raises(KeyError):
+                form.evaluate(point)
+
+    @settings(max_examples=200, deadline=None)
+    @given(coefficient_maps, small_fractions)
+    def test_str_matches_fraction_renderer(self, coeffs, const):
+        form = LinearForm(coeffs, const)
+        assert str(form) == reference_str({v: c for v, c in coeffs.items() if c}, const)
+        assert str(-form) == reference_str({v: -c for v, c in coeffs.items() if c}, -const)
 
 
 class TestLpFeasible:

@@ -1,10 +1,12 @@
 """The package stays stdlib-only and float-free: every module under
 src/blowdown imports only the standard library or blowdown itself (so
-nothing reaches the tests' Fourier-Motzkin oracle), and no module has a
-float literal or a `float(` call."""
+nothing reaches the tests' Fourier-Motzkin oracle), no module has a
+float literal or a `float(` call, and none uses a private attribute or
+keyword of `fractions.Fraction`, which differ between Python versions."""
 
 import ast
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -43,6 +45,25 @@ def test_no_floats(path):
         or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float")
     ]
     assert floats == []
+
+
+# Private names of Fraction on this interpreter, plus two that other
+# supported versions have or had (`_normalize=` is gone in 3.12,
+# `_from_coprime_ints` is new there).
+FRACTION_PRIVATE = {
+    name for name in dir(Fraction) if name.startswith("_") and not name.startswith("__")
+} | {"_normalize", "_from_coprime_ints"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_fraction_api(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    uses = [
+        node.lineno for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in FRACTION_PRIVATE)
+        or (isinstance(node, ast.keyword) and node.arg in FRACTION_PRIVATE)
+    ]
+    assert uses == []
 
 
 def test_sources_found():
