@@ -24,7 +24,6 @@ from blowdown.ratmath import (
     Constraint,
     EvidenceRejected,
     LinearForm,
-    _form,
     check_certificate,
     check_witness,
     linear_combination,
@@ -74,10 +73,9 @@ class SymplecticClass:
             raise AmbientMismatch(
                 f"symplectic class on n={self.n} paired with class on n={c.ambient.n}"
             )
-        coeffs = {"a": c.coeffs[0]}
-        for i, ci in enumerate(c.coeffs[1:], start=1):
-            coeffs[f"b{i}"] = ci
-        return LinearForm(coeffs)
+        return LinearForm.from_sorted_integers(
+            tuple((v, ci) for v, ci in zip(self.symbols, c.coeffs) if ci)
+        )
 
 
 def symplectic_class(n: int) -> SymplecticClass:
@@ -100,11 +98,11 @@ class ConeSystem:
         n = self.n
         if n < 1:
             raise ValueError("symplectic cone needs n >= 1")
-        # Integer forms with terms already in var_key order and no common factor.
         names = symbols(n)
-        chain = [_form(((x, 1), (y, -1)), 0, 1) for x, y in zip(names, names[1:])]
-        chain.append(_form(((names[-1], 1),), 0, 1))
-        total = _form((("a", 3), *((b, -1) for b in names[1:])), 0, 1)
+        integral = LinearForm.from_sorted_integers
+        chain = [integral(((x, 1), (y, -1))) for x, y in zip(names, names[1:])]
+        chain.append(integral(((names[-1], 1),)))
+        total = integral((("a", 3), *((b, -1) for b in names[1:])))
         object.__setattr__(self, "nonstrict", tuple(chain))
         object.__setattr__(self, "strict", (total,))
 

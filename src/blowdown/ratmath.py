@@ -171,6 +171,13 @@ class LinearForm:
     def constant(cls, value: Scalar) -> "LinearForm":
         return cls({}, value)
 
+    @classmethod
+    def from_sorted_integers(cls, terms: tuple[tuple[str, int], ...]) -> "LinearForm":
+        """The homogeneous form sum(c * v) over (v, c) pairs whose names are
+        distinct and in var_key order and whose integers are nonzero.  It is
+        built as given, with no Fraction, sort or gcd."""
+        return _form(terms, 0, 1)
+
     @property
     def coeffs(self) -> dict[str, Fraction]:
         return {v: Fraction(c, self._den) for v, c in self._terms}
